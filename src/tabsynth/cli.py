@@ -2,11 +2,12 @@
 
 Subcommands: unify (run the reference algorithm), check-mgiu (verify a
 candidate unifier), replay (execute a derivation script), search
-(bounded best-first derivation), run (interpret a program file), and
+(bounded best-first derivation), run (run a program file), and
 selftest (exhaustive small-universe comparison against the oracle).
 
 Exit status: 0 success, 1 negative verdict (ununifiable input or failed
-check), 2 usage or parse error, 3 internal rule or step failure.
+check), 2 usage or parse error, 3 rule or step failure, fuel exhaustion,
+or any other internal failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import engine, program as P
 from .logic import LogicError
 from .subst import BOT, EMPTY, SubstError, is_proper, parse_subst, print_subst
 from .term import Cons, Const, ExprError, Var, parse_expr, print_expr
-from .unify import mgiu_check, oracle_unify, reference_unify
+from .unify import FuelExhaustedError, mgiu_check, oracle_unify, reference_unify
 from .tableau import TableauError
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
@@ -39,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (engine.StepFailedError, P.DecreaseViolationError, P.FuelExhaustedError) as exc:
+    except (engine.StepFailedError, P.DecreaseViolationError, FuelExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL
     except (
@@ -54,6 +55,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # any other failure is internal; 1 means ununifiable
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,15 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None)
     p.add_argument("--max-rows", type=int, default=200)
     p.add_argument("--weights", default=None, help="JSON file of symbol weights")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("run", help="interpret a program file")
+    p = sub.add_parser("run", help="run a program file")
     p.add_argument("program")
     p.add_argument("args", nargs="+", help="argument values (substitution first)")
-    p.add_argument("--env", default=None, help="unused; kept for symmetry")
     p.add_argument("--fuel", type=int, default=10000)
     p.add_argument("--check-decrease", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -174,9 +176,7 @@ def cmd_search(args) -> int:
     weights = {}
     if args.weights:
         weights = {k: int(v) for k, v in json.loads(_read(args.weights)).items()}
-    config = engine.SearchConfig(
-        max_rows=args.max_rows, weights=weights, seed=args.seed
-    )
+    config = engine.SearchConfig(max_rows=args.max_rows, weights=weights)
     result = engine.search(theory, spec, config)
     if result is None:
         if args.json:

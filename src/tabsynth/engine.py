@@ -309,7 +309,6 @@ class SearchConfig:
     max_rows: int = 200
     weights: dict[str, int] = field(default_factory=dict)
     precedence: tuple[str, ...] = DEFAULT_PRECEDENCE
-    seed: int = 0
 
     def weight_of(self, symbol: str) -> int:
         w = self.weights.get(symbol, 1)

@@ -9,12 +9,15 @@ instantiate; lowercase identifiers are signature symbols.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import subst as _subst
 from . import term as _term
+from . import unify as _unify
+from . import wf as _wf
 
 
 class LogicError(Exception):
@@ -35,52 +38,91 @@ class BadPathError(LogicError):
 
 SORTS = ("expr", "subst", "varset", "nat", "triple", "rel")
 
-_BASE_FUNCTIONS: dict[str, tuple[tuple[str, ...], str]] = {
-    "cons": (("expr", "expr"), "expr"),
-    "left": (("expr",), "expr"),
-    "right": (("expr",), "expr"),
-    "apply": (("expr", "subst"), "expr"),
-    "compose": (("subst", "subst"), "subst"),
-    "replace": (("expr", "expr"), "subst"),
-    "empty-subst": ((), "subst"),
-    "bot": ((), "subst"),
-    "vars": (("expr",), "varset"),
-    "vars2": (("expr", "expr"), "varset"),
-    "vs-apply": (("varset", "subst"), "varset"),
-    "dom": (("subst",), "varset"),
-    "range": (("subst",), "varset"),
-    "size": (("expr",), "nat"),
-    "union": (("varset", "varset"), "varset"),
-    "tuple2": (("expr", "expr"), "expr"),
-    "tuple3": (("subst", "expr", "expr"), "triple"),
-}
 
-_BASE_PREDICATES: dict[str, tuple[str, ...]] = {
-    "is-atom": ("expr",),
-    "is-const": ("expr",),
-    "is-var": ("expr",),
-    "is-proper": ("subst",),
-    "occurs-proper": ("expr", "expr"),
-    "occurs-refl": ("expr", "expr"),
-    "misses": ("subst", "expr"),
-    "idem": ("subst",),
-    "more-genid": ("subst", "subst"),
-    "mgi": ("subst", "expr", "expr", "subst"),
-    "mgiu": ("subst", "expr", "expr", "subst"),
-    "reduce": ("subst", "varset", "subst"),
-    "subset": ("varset", "varset"),
-    "proper-subset": ("varset", "varset"),
-    "size-lt": ("expr", "expr"),
-    "wf-ordered": ("rel", "triple", "triple"),
+@dataclass(frozen=True)
+class Primitive:
+    """A symbol of the fixed signature: its sorts and its Python meaning.
+
+    `result` is None for a predicate.  `in_program` marks the symbols an
+    extracted program body may use.
+    """
+
+    args: tuple[str, ...]
+    result: Optional[str]
+    meaning: Callable
+    in_program: bool = False
+
+
+def _replace(x: _term.Expr, e: _term.Expr) -> _subst.Proper:
+    if not isinstance(x, _term.Var):
+        raise _subst.SubstError("replace needs a variable as its first argument")
+    return _subst.replacement(x.name, e)
+
+
+def _vs_apply(v: frozenset[str], s: _subst.Subst) -> frozenset[str]:
+    out: frozenset[str] = frozenset()
+    for name in v:
+        out |= _term.vars_of(_subst.apply(_term.Var(name), s))
+    return out
+
+
+PRIMITIVES: dict[str, Primitive] = {
+    "cons": Primitive(("expr", "expr"), "expr", _term.Cons, True),
+    "left": Primitive(("expr",), "expr", _term.left_of, True),
+    "right": Primitive(("expr",), "expr", _term.right_of, True),
+    "apply": Primitive(("expr", "subst"), "expr", _subst.apply, True),
+    "compose": Primitive(("subst", "subst"), "subst", _subst.compose, True),
+    "replace": Primitive(("expr", "expr"), "subst", _replace, True),
+    "empty-subst": Primitive((), "subst", lambda: _subst.EMPTY, True),
+    "bot": Primitive((), "subst", lambda: _subst.BOT, True),
+    "vars": Primitive(("expr",), "varset", _term.vars_of),
+    "vars2": Primitive(
+        ("expr", "expr"), "varset", lambda a, b: _term.vars_of(a) | _term.vars_of(b)
+    ),
+    "vs-apply": Primitive(("varset", "subst"), "varset", _vs_apply),
+    "dom": Primitive(("subst",), "varset", _subst.dom_of),
+    "range": Primitive(("subst",), "varset", _subst.range_of),
+    "size": Primitive(("expr",), "nat", _term.size_of),
+    "union": Primitive(("varset", "varset"), "varset", operator.or_),
+    "tuple2": Primitive(
+        ("expr", "expr"), "expr", lambda a, b: _term.encode_tuple([a, b])
+    ),
+    "tuple3": Primitive(("subst", "expr", "expr"), "triple", _wf.InputTriple),
+    "is-atom": Primitive(("expr",), None, _term.is_atom, True),
+    "is-const": Primitive(("expr",), None, _term.is_const, True),
+    "is-var": Primitive(("expr",), None, _term.is_var, True),
+    "is-proper": Primitive(("subst",), None, _subst.is_proper, True),
+    "occurs-proper": Primitive(("expr", "expr"), None, _term.occurs_in, True),
+    "occurs-refl": Primitive(
+        ("expr", "expr"), None, lambda a, b: _term.occurs_in(a, b, "reflexive")
+    ),
+    "misses": Primitive(("subst", "expr"), None, _subst.misses, True),
+    "idem": Primitive(("subst",), None, _subst.is_idempotent),
+    "more-genid": Primitive(("subst", "subst"), None, _subst.more_general),
+    "mgi": Primitive(("subst", "expr", "expr", "subst"), None, _unify.mgi_decide),
+    "mgiu": Primitive(
+        ("subst", "expr", "expr", "subst"), None,
+        lambda env, a, b, s: _unify.mgiu_check(env, a, b, s).ok,
+    ),
+    "reduce": Primitive(("subst", "varset", "subst"), None, _unify.reduce_holds),
+    "subset": Primitive(("varset", "varset"), None, operator.le),
+    "proper-subset": Primitive(("varset", "varset"), None, operator.lt),
+    "size-lt": Primitive(
+        ("expr", "expr"), None, lambda a, b: _term.size_of(a) < _term.size_of(b)
+    ),
+    # the relation argument evaluates to its RelSpec
+    "wf-ordered": Primitive(("rel", "triple", "triple"), None, _wf.rel_less),
 }
 
 
 class Signature:
-    """Symbol table; program parameters and calls extend the base tables."""
+    """Symbol sorts: the primitives, extended by program parameters and calls."""
 
     def __init__(self):
-        self.functions = dict(_BASE_FUNCTIONS)
-        self.predicates = dict(_BASE_PREDICATES)
+        self.functions = {
+            n: (p.args, p.result) for n, p in PRIMITIVES.items() if p.result is not None
+        }
+        self.predicates = {n: p.args for n, p in PRIMITIVES.items() if p.result is None}
 
     def add_constant(self, name: str, sort: str) -> None:
         self.add_function(name, (), sort)

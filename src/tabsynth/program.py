@@ -1,26 +1,29 @@
-"""Extracted programs: interpretation, simplification, and emission.
+"""Extracted programs: compilation, simplification, and emission.
 
-The interpreter evaluates bodies over runtime values (expressions,
-substitutions, variable-name sets, integers) with strict primitives and
-a lazy conditional.  Self-calls consume fuel, and can be checked for
-strict decrease under a registered well-founded relation.
+`compile` turns a program into Python source: the lazy conditional
+becomes a conditional expression, primitives are called strictly from
+`logic.PRIMITIVES`, and self-calls go through a `_self` hook passed in
+by the caller.  `interpret` runs the compiled program over runtime
+values (expressions, substitutions, variable-name sets, integers);
+self-calls consume fuel, and can be checked for strict decrease under
+the unification measure.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable, Sequence
 
 from . import logic as L
 from . import subst as S
 from . import term as T
 from .logic import Apply, Atom, Cond, Eq, Formula, LTerm, MetaVar, Signature
-from .tableau import ProgramDef
-from .wf import InputTriple, u_less
+from .tableau import ProgramDef, nonprimitive_symbol
+from .unify import FuelExhaustedError
+from .wf import U_REL, InputTriple, u_less
 
 
 class ProgramError(Exception):
-    pass
-
-
-class FuelExhaustedError(ProgramError):
     pass
 
 
@@ -47,7 +50,7 @@ def interpret(
     check_decrease: bool = False,
     calls: list | None = None,
 ) -> Value:
-    """Evaluate p on the given argument values.
+    """Run p on the given argument values.
 
     With check_decrease set (and a decrease relation recorded on p),
     every self-call must be strictly smaller than its parent under the
@@ -62,47 +65,21 @@ def interpret(
             continue
         if not isinstance(value, want):
             raise ProgramError(f"argument {name} is not of sort {sort}")
-    state = {"fuel": fuel}
+    fn = p.compiled
+    check = check_decrease and p.decrease is not None
 
-    def call(argvals: list[Value]) -> Value:
-        env = {name: v for (name, _), v in zip(p.params, argvals)}
-
-        def term(t: LTerm) -> Value:
-            if isinstance(t, Apply):
-                if t.fn == p.name:
-                    child = [term(a) for a in t.args]
-                    if calls is not None:
-                        calls.append((list(argvals), list(child)))
-                    if check_decrease and p.decrease is not None:
-                        _check_decrease(argvals, child)
-                    if state["fuel"] <= 0:
-                        raise FuelExhaustedError(f"{p.name}: fuel exhausted")
-                    state["fuel"] -= 1
-                    return call(child)
-                if not t.args and t.fn in env:
-                    return env[t.fn]
-                return eval_apply(t.fn, [term(a) for a in t.args])
-            if isinstance(t, Cond):
-                return term(t.then) if formula(t.test) else term(t.els)
-            if isinstance(t, L.Literal):
-                return t.value
-            if isinstance(t, MetaVar):
-                raise ProgramError(f"unbound metavar {t.name} in program body")
-            raise ProgramError(f"cannot evaluate {t!r}")
-
-        def formula(f: Formula) -> bool:
-            return eval_formula(f, env, self_call=term_self)
-
-        def term_self(t: LTerm) -> Value:
-            return term(t)
-
-        return term(p.body)
-
-    def _check_decrease(parent, child):
-        if not u_less(_as_triple(child), _as_triple(parent)):
+    def self_call(parent: list, child: list) -> Value:
+        nonlocal fuel
+        if calls is not None:
+            calls.append((parent, child))
+        if check and not u_less(_as_triple(child), _as_triple(parent)):
             raise DecreaseViolationError(tuple(parent), tuple(child))
+        if fuel <= 0:
+            raise FuelExhaustedError(f"{p.name}: fuel exhausted")
+        fuel -= 1
+        return fn(self_call, *child)
 
-    return call(list(args))
+    return _run(fn, self_call, *args)
 
 
 def _as_triple(vals) -> InputTriple:
@@ -111,139 +88,136 @@ def _as_triple(vals) -> InputTriple:
     return InputTriple(vals[0], vals[1], vals[2])
 
 
-# ---------------------------------------------------------------------------
-# semantics of the fixed signature over runtime values
-
-def eval_apply(fn: str, vals: list[Value]) -> Value:
+def _run(fn: Callable, *args) -> Value:
     try:
-        return _FUNCTIONS[fn](*vals)
-    except KeyError:
-        raise PrimitiveError(f"unknown function {fn}") from None
+        return fn(*args)
     except (T.ExprError, S.SubstError) as exc:
         raise PrimitiveError(str(exc)) from exc
 
 
-def _vs_apply(v: frozenset, s: S.Subst) -> frozenset:
-    out: frozenset[str] = frozenset()
-    for name in v:
-        out |= T.vars_of(S.apply(T.Var(name), s))
-    return out
-
-
-_FUNCTIONS = {
-    "cons": lambda a, b: T.Cons(a, b),
-    "left": T.left_of,
-    "right": T.right_of,
-    "apply": S.apply,
-    "compose": S.compose,
-    "replace": lambda x, e: _replace_value(x, e),
-    "empty-subst": lambda: S.EMPTY,
-    "bot": lambda: S.BOT,
-    "vars": T.vars_of,
-    "vars2": lambda a, b: T.vars_of(a) | T.vars_of(b),
-    "vs-apply": _vs_apply,
-    "dom": S.dom_of,
-    "range": S.range_of,
-    "size": T.size_of,
-    "union": lambda a, b: a | b,
-    "tuple2": lambda a, b: T.encode_tuple([a, b]),
-    "tuple3": lambda s, a, b: InputTriple(s, a, b),
-}
-
-
-def _replace_value(x: T.Expr, e: T.Expr) -> S.Subst:
-    if not isinstance(x, T.Var):
-        raise PrimitiveError("replace needs a variable as its first argument")
-    return S.replacement(x.name, e)
-
-
-def eval_term(t: LTerm, env: dict[str, Value], relations=None) -> Value:
-    if isinstance(t, Apply):
-        if not t.args and t.fn in env:
-            return env[t.fn]
-        if not t.args and t.fn not in _FUNCTIONS:
-            return t.fn  # an uninterpreted constant, e.g. a relation name
-        return eval_apply(t.fn, [eval_term(a, env, relations) for a in t.args])
-    if isinstance(t, Cond):
-        branch = t.then if eval_formula(t.test, env, relations) else t.els
-        return eval_term(branch, env, relations)
-    if isinstance(t, L.Literal):
-        return t.value
-    if isinstance(t, MetaVar):
-        if t.name in env:
-            return env[t.name]
-        raise ProgramError(f"unbound metavar {t.name}")
-    raise ProgramError(f"cannot evaluate {t!r}")
+def eval_apply(fn: str, vals: list[Value]) -> Value:
+    """Apply the primitive function fn to runtime values."""
+    prim = L.PRIMITIVES.get(fn)
+    if prim is None or prim.result is None:
+        raise PrimitiveError(f"unknown function {fn}")
+    return _run(prim.meaning, *vals)
 
 
 def eval_formula(
-    f: Formula, env: dict[str, Value], relations=None, self_call=None
+    f: Formula, env: dict[str, Value], relations: dict | None = None
 ) -> bool:
-    """Ground truth of a formula under runtime values."""
+    """Ground truth of a formula under runtime values.
 
-    def term(t: LTerm) -> Value:
-        if self_call is not None:
-            return self_call(t)
-        return eval_term(t, env, relations)
-
-    if isinstance(f, L.TrueF):
-        return True
-    if isinstance(f, L.FalseF):
-        return False
-    if isinstance(f, Eq):
-        return term(f.lhs) == term(f.rhs)
-    if isinstance(f, Atom):
-        vals = [term(a) for a in f.args]
-        return _eval_pred(f.pred, vals, relations)
-    if isinstance(f, L.Not):
-        return not eval_formula(f.body, env, relations, self_call)
-    if isinstance(f, L.And):
-        return all(eval_formula(p, env, relations, self_call) for p in f.parts)
-    if isinstance(f, L.Or):
-        return any(eval_formula(p, env, relations, self_call) for p in f.parts)
-    if isinstance(f, L.Implies):
-        return not eval_formula(f.antecedent, env, relations, self_call) or eval_formula(
-            f.consequent, env, relations, self_call
-        )
-    if isinstance(f, L.Iff):
-        return eval_formula(f.lhs, env, relations, self_call) == eval_formula(
-            f.rhs, env, relations, self_call
-        )
-    raise ProgramError(f"cannot evaluate formula {f!r}")
+    Relation constants mean the RelSpecs in `relations`; u-rel defaults
+    to the unification measure.
+    """
+    fn = _compile_formula(f, tuple(env))
+    return _run(fn, {**_RELATIONS, **(relations or {})}, *env.values())
 
 
-def _eval_pred(pred: str, vals: list[Value], relations) -> bool:
-    from . import unify as U
-    from . import wf as W
+# ---------------------------------------------------------------------------
+# compilation
 
-    if pred == "wf-ordered":
-        name, t1, t2 = vals
-        relations = relations or {}
-        if name == "u-rel":
-            return u_less(t1, t2)
-        if name in relations:
-            return W.rel_less(relations[name], t1, t2)
+
+def compile(p: ProgramDef) -> Callable:
+    """Compile p to a Python function `f(_self, *args)`.
+
+    A self-call with child arguments c in a call with arguments a runs
+    `_self([a...], [c...])`, fresh lists each time; the caller's hook
+    decides how to recurse.
+    """
+    gen = _Source([name for name, _ in p.params], p.name)
+    return gen.function("_self", gen.term(p.body))
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_formula(f: Formula, names: tuple[str, ...]) -> Callable:
+    """Compile f to `f(_rels, *values)` over the named values."""
+    gen = _Source(names, None)
+    return gen.function("_rels", gen.formula(f))
+
+
+_RELATIONS = {"u-rel": U_REL}  # known to every formula unless a theory redefines it
+
+
+def _relation(rels: dict, name: str):
+    if name not in rels:
         raise ProgramError(f"unknown relation {name}")
-    table = {
-        "is-atom": lambda e: T.is_atom(e),
-        "is-const": lambda e: T.is_const(e),
-        "is-var": lambda e: T.is_var(e),
-        "is-proper": lambda s: S.is_proper(s),
-        "occurs-proper": lambda a, b: T.occurs_in(a, b, "proper"),
-        "occurs-refl": lambda a, b: T.occurs_in(a, b, "reflexive"),
-        "misses": lambda s, e: S.misses(s, e),
-        "idem": lambda s: S.is_idempotent(s),
-        "more-genid": lambda a, b: S.more_general(a, b),
-        "mgi": lambda env, a, b, s: U.mgi_decide(env, a, b, s),
-        "mgiu": lambda env, a, b, s: U.mgiu_check(env, a, b, s).ok,
-        "reduce": lambda env, v, s: U.reduce_holds(env, v, s),
-        "subset": lambda a, b: a <= b,
-        "proper-subset": lambda a, b: a < b,
-        "size-lt": lambda a, b: T.size_of(a) < T.size_of(b),
-    }
-    if pred not in table:
-        raise ProgramError(f"unknown predicate {pred}")
-    return table[pred](*vals)
+    return rels[name]
+
+
+class _Source:
+    """Python source for one body over named runtime values.
+
+    Values the source refers to (primitive meanings, literals) are bound
+    in `namespace` under names starting with an underscore.
+    """
+
+    def __init__(self, variables: Sequence[str], self_name: str | None):
+        self.self_name = self_name
+        self.variables = {name: f"_v{i}" for i, name in enumerate(variables)}
+        self.namespace: dict[str, object] = {"_rel": _relation, "_rels": _RELATIONS}
+
+    def function(self, hook: str, body: str) -> Callable:
+        params = ", ".join([hook, *self.variables.values()])
+        exec(f"def _body({params}):\n    return {body}\n", self.namespace)
+        return self.namespace.pop("_body")
+
+    def _bind(self, value: object) -> str:
+        ident = f"_k{len(self.namespace)}"
+        self.namespace[ident] = value
+        return ident
+
+    def term(self, t: LTerm) -> str:
+        if isinstance(t, Cond):
+            then, els = self.term(t.then), self.term(t.els)
+            return f"({then} if {self.formula(t.test)} else {els})"
+        if isinstance(t, L.Literal):
+            return self._bind(t.value)
+        if isinstance(t, MetaVar):
+            if t.name not in self.variables:
+                raise ProgramError(f"unbound metavar {t.name}")
+            return self.variables[t.name]
+        if not isinstance(t, Apply):
+            raise ProgramError(f"cannot evaluate {t!r}")
+        args = [self.term(a) for a in t.args]
+        if t.fn == self.self_name:
+            parent = ", ".join(self.variables.values())
+            return f"_self([{parent}], [{', '.join(args)}])"
+        if not args and t.fn in self.variables:
+            return self.variables[t.fn]
+        prim = L.PRIMITIVES.get(t.fn)
+        if prim is not None and prim.result is not None:
+            if not args:  # a nullary primitive is a constant: evaluate it once
+                return self._bind(eval_apply(t.fn, []))
+            return f"{self._bind(prim.meaning)}({', '.join(args)})"
+        if not args:
+            return f"_rel(_rels, {t.fn!r})"
+        raise PrimitiveError(f"unknown function {t.fn}")
+
+    def formula(self, f: Formula) -> str:
+        if isinstance(f, L.TrueF):
+            return "True"
+        if isinstance(f, L.FalseF):
+            return "False"
+        if isinstance(f, Eq):
+            return f"({self.term(f.lhs)} == {self.term(f.rhs)})"
+        if isinstance(f, Atom):
+            prim = L.PRIMITIVES.get(f.pred)
+            if prim is None or prim.result is not None:
+                raise ProgramError(f"unknown predicate {f.pred}")
+            args = ", ".join(self.term(a) for a in f.args)
+            return f"{self._bind(prim.meaning)}({args})"
+        if isinstance(f, L.Not):
+            return f"(not {self.formula(f.body)})"
+        if isinstance(f, (L.And, L.Or)):
+            joint = " and " if isinstance(f, L.And) else " or "
+            return "(" + joint.join(self.formula(p) for p in f.parts) + ")"
+        if isinstance(f, L.Implies):
+            return f"(not {self.formula(f.antecedent)} or {self.formula(f.consequent)})"
+        if isinstance(f, L.Iff):
+            return f"({self.formula(f.lhs)} == {self.formula(f.rhs)})"
+        raise ProgramError(f"cannot evaluate formula {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,38 +303,10 @@ def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
     if rest:
         raise ProgramError(f"trailing tokens: {' '.join(rest)}")
     body = L._resolve_sorts_term(raw, sig)
-    _check_body_symbols(body, name, set(params))
+    bad = nonprimitive_symbol(body, name, set(params))
+    if bad is not None:
+        raise ProgramError(f"nonprimitive symbol {bad} in program body")
     return ProgramDef(name, tuple(zip(params, sorts)), body, "u-rel")
-
-
-def _check_body_symbols(body: LTerm, name: str, params: set[str]) -> None:
-    from .tableau import PRIMITIVE_FUNCTIONS, PRIMITIVE_PREDICATES
-
-    def walk_term(t: LTerm) -> None:
-        if isinstance(t, Apply):
-            if not (t.fn in PRIMITIVE_FUNCTIONS or t.fn == name or t.fn in params):
-                raise ProgramError(f"nonprimitive symbol {t.fn} in program body")
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, Cond):
-            walk_formula(t.test)
-            walk_term(t.then)
-            walk_term(t.els)
-
-    def walk_formula(f: Formula) -> None:
-        if isinstance(f, Atom):
-            if f.pred not in PRIMITIVE_PREDICATES:
-                raise ProgramError(f"nonprimitive predicate {f.pred} in program body")
-            for a in f.args:
-                walk_term(a)
-        elif isinstance(f, Eq):
-            walk_term(f.lhs)
-            walk_term(f.rhs)
-        else:
-            for kid in L.children(f):
-                walk_formula(kid)  # type: ignore[arg-type]
-
-    walk_term(body)
 
 
 def _default_param_sorts(params: list[str]) -> list[str]:

@@ -9,6 +9,7 @@ synthesized program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import logic as L
 from .logic import (
@@ -75,11 +76,38 @@ GOAL = "goal"
 # symbols allowed in extracted program bodies (beyond parameters and the
 # program's own name)
 PRIMITIVE_FUNCTIONS = frozenset(
-    ["bot", "empty-subst", "left", "right", "apply", "compose", "replace", "cons"]
+    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is not None
 )
 PRIMITIVE_PREDICATES = frozenset(
-    ["is-proper", "is-atom", "is-const", "is-var", "occurs-proper", "misses"]
+    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is None
 )
+
+
+def nonprimitive_symbol(
+    body: LTerm,
+    name: str,
+    params: set[str],
+    functions: frozenset[str] = PRIMITIVE_FUNCTIONS,
+    predicates: frozenset[str] = PRIMITIVE_PREDICATES,
+) -> str | None:
+    """The first symbol a program `name(params)` may not use in body, or None.
+
+    A body may use the given primitives, its parameters as constants,
+    calls to itself, and metavariables.
+    """
+    stack: list[L.Node] = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Apply) and not (
+            node.fn in functions
+            or node.fn == name
+            or (node.fn in params and not node.args)
+        ):
+            return node.fn
+        if isinstance(node, Atom) and node.pred not in predicates:
+            return node.pred
+        stack.extend(reversed(L.children(node)))
+    return None
 
 
 @dataclass(frozen=True)
@@ -139,6 +167,13 @@ class ProgramDef:
     params: tuple[tuple[str, str], ...]
     body: LTerm
     decrease: str | None = None
+
+    @cached_property
+    def compiled(self):
+        """This program as a Python function; see program.compile."""
+        from .program import compile
+
+        return compile(self)
 
 
 def _mk_cond(test: Formula, then: LTerm, els: LTerm) -> LTerm:
@@ -429,36 +464,10 @@ class Tableau:
 
     def is_primitive(self, body: LTerm) -> bool:
         params = {name for name, _ in self.spec.params}
-
-        def walk_term(t: LTerm) -> bool:
-            if isinstance(t, MetaVar):
-                return True
-            if isinstance(t, Apply):
-                ok = (
-                    t.fn in self.primitive_fns
-                    or t.fn == self.spec.name
-                    or (t.fn in params and not t.args)
-                )
-                return ok and all(walk_term(a) for a in t.args)
-            if isinstance(t, Cond):
-                return (
-                    walk_formula(t.test) and walk_term(t.then) and walk_term(t.els)
-                )
-            return True
-
-        def walk_formula(f: Formula) -> bool:
-            if isinstance(f, Atom):
-                return f.pred in self.primitive_preds and all(
-                    walk_term(a) for a in f.args
-                )
-            if isinstance(f, Eq):
-                return walk_term(f.lhs) and walk_term(f.rhs)
-            return all(
-                walk_formula(kid)  # type: ignore[arg-type]
-                for kid in L.children(f)
-            )
-
-        return walk_term(body)
+        bad = nonprimitive_symbol(
+            body, self.spec.name, params, self.primitive_fns, self.primitive_preds
+        )
+        return bad is None
 
     # -- helpers ---------------------------------------------------------
 

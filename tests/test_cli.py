@@ -127,3 +127,16 @@ def test_run_reports_fuel_exhaustion(capsys, tmp_path):
         "--fuel", "1",
     )
     assert code == 3
+
+
+def test_unify_fuel_exhaustion_exit_code(capsys):
+    code, _ = run_cli(capsys, "unify", "--fuel", "1", "(a . X)", "(a . b)")
+    assert code == 3
+
+
+def test_unexpected_exception_exit_code(capsys):
+    deep = "Z"
+    for _ in range(600):
+        deep = f"({deep} . c)"
+    assert main(["unify", "X", deep]) == 3
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

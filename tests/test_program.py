@@ -8,6 +8,7 @@ from tabsynth.program import (
     DecreaseViolationError,
     FuelExhaustedError,
     PrimitiveError,
+    ProgramError,
     emit,
     eval_formula,
     interpret,
@@ -56,6 +57,49 @@ def test_interpret_argument_count(prog):
 
     with pytest.raises(ProgramError):
         interpret(prog, [EMPTY])
+
+
+def test_fuel_accounting(prog):
+    # interleaved runs share one compiled function: fuel and calls must not leak
+    rng = random.Random(5)
+    triples = [
+        [rand_idempotent_env(rng), rand_expr(rng, 3), rand_expr(rng, 3)]
+        for _ in range(100)
+    ]
+    counts = []
+    for args in triples:
+        calls = []
+        interpret(prog, args, calls=calls)
+        counts.append(len(calls))
+    assert max(counts) > 2
+    for args, n in zip(triples, counts):
+        calls = []
+        assert interpret(prog, args, fuel=n, calls=calls) == reference_unify(*args)
+        assert len(calls) == n
+        if n:
+            with pytest.raises(FuelExhaustedError):
+                interpret(prog, args, fuel=n - 1)
+
+
+def test_parse_and_extract_agree_on_primitiveness():
+    from tabsynth import engine
+
+    theory = engine.load_theory(GOLDEN.with_name("unify.thy").read_text())
+    tableau = engine.make_tableau(theory, "unify")
+    bodies = {
+        "(if (is-var e1) (compose th0 (replace e1 e2)) (unify th0 e2 e1))": True,
+        "(if (mgi th0 e1 e2 th0) th0 bot)": False,
+        "(if (= (vars e1) (vars e2)) th0 bot)": False,
+        "(if (size-lt e1 e2) th0 bot)": False,
+    }
+    for body, primitive in bodies.items():
+        assert tableau.is_primitive(L.parse_term(body, theory.signature)) == primitive
+        text = f"(define (unify th0 e1 e2) {body})"
+        if primitive:
+            parse_program(text)
+        else:
+            with pytest.raises(ProgramError, match="nonprimitive"):
+                parse_program(text)
 
 
 def test_primitive_error():
