@@ -263,8 +263,5 @@ def cmd_selftest(args) -> int:
     return OK if disagreements == 0 else NEGATIVE
 
 
-run = main  # the module-level entry point, exit status as an int
-
-
 if __name__ == "__main__":
     sys.exit(main())

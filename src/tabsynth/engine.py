@@ -73,11 +73,16 @@ def load_theory(text: str) -> Theory:
     return theory
 
 
+# a comment starts at a '#' that begins the line or follows whitespace, so
+# fresh metavariable names such as X#3 are kept
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _entries(text: str):
     """Yield complete (paren-balanced) declarations, comments stripped."""
     pending = ""
     for line in text.splitlines():
-        line = re.sub(r"#.*", "", line).rstrip()
+        line = _COMMENT.sub("", line).rstrip()
         if not line.strip():
             continue
         pending = f"{pending} {line}".strip() if pending else line.strip()
@@ -123,7 +128,7 @@ class Command:
 def parse_script(text: str) -> list[Command]:
     commands = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = re.sub(r"#.*", "", raw).strip()
+        line = _COMMENT.sub("", raw).strip()
         if line:
             commands.append(Command(i, line))
     return commands
@@ -319,23 +324,15 @@ class SearchConfig:
 
 def _formula_weight(f: L.Formula, config: SearchConfig) -> int:
     total = 0
-
-    def walk(node):
-        nonlocal total
+    for node in L.nodes(f):
         if isinstance(node, L.Atom):
             total += config.weight_of(node.pred)
         elif isinstance(node, L.Apply):
             total += config.weight_of(node.fn)
-        elif isinstance(node, (L.MetaVar, L.Literal)):
-            total += 1
         elif isinstance(node, L.Eq):
             total += config.weight_of("=")
         else:
             total += 1
-        for kid in L.children(node):
-            walk(kid)
-
-    walk(f)
     return total
 
 
@@ -364,14 +361,9 @@ def _canonical_key(row: Row) -> tuple:
     favor of the first one found.
     """
     mapping: dict[str, str] = {}
-
-    def visit(node) -> None:
+    for node in L.nodes(row.formula):
         if isinstance(node, L.MetaVar):
             mapping.setdefault(node.name, f"V{len(mapping)}")
-        for kid in L.children(node):
-            visit(kid)
-
-    visit(row.formula)
     formula = L.print_formula(L.rename_metavars(row.formula, mapping))
     return (row.kind, formula, row.output is None)
 

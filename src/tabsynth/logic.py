@@ -124,6 +124,12 @@ class Signature:
         }
         self.predicates = {n: p.args for n, p in PRIMITIVES.items() if p.result is None}
 
+    def copy(self) -> Signature:
+        out = Signature()
+        out.functions.update(self.functions)
+        out.predicates.update(self.predicates)
+        return out
+
     def add_constant(self, name: str, sort: str) -> None:
         self.add_function(name, (), sort)
 
@@ -232,6 +238,7 @@ class Eq:
 
 
 Formula = Union[TrueF, FalseF, Atom, Not, And, Or, Implies, Iff, Eq]
+Node = Union[Formula, LTerm]
 
 TRUE = TrueF()
 FALSE = FalseF()
@@ -294,6 +301,58 @@ def check_formula(f: Formula, sig: Signature) -> None:
         return
     check_formula(f.antecedent if isinstance(f, Implies) else f.lhs, sig)
     check_formula(f.consequent if isinstance(f, Implies) else f.rhs, sig)
+
+
+# ---------------------------------------------------------------------------
+# node shapes and the generic traversal
+
+_LEAF = (lambda n: (), None)
+
+# node type -> (its children, a rebuild of the node from new children)
+_SHAPES: dict[type, tuple[Callable, Optional[Callable]]] = {
+    TrueF: _LEAF,
+    FalseF: _LEAF,
+    MetaVar: _LEAF,
+    Literal: _LEAF,
+    Apply: (lambda n: n.args, lambda n, k: Apply(n.fn, k)),
+    Cond: (lambda n: (n.test, n.then, n.els), lambda n, k: Cond(*k)),
+    Atom: (lambda n: n.args, lambda n, k: Atom(n.pred, k)),
+    Eq: (lambda n: (n.lhs, n.rhs), lambda n, k: Eq(*k)),
+    Not: (lambda n: (n.body,), lambda n, k: Not(*k)),
+    And: (lambda n: n.parts, lambda n, k: And(k)),
+    Or: (lambda n: n.parts, lambda n, k: Or(k)),
+    Implies: (lambda n: (n.antecedent, n.consequent), lambda n, k: Implies(*k)),
+    Iff: (lambda n: (n.lhs, n.rhs), lambda n, k: Iff(*k)),
+}
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    return _SHAPES[type(node)][0](node)
+
+
+def nodes(node: Node) -> Iterator[Node]:
+    """Every sub-node of node, node first, in left-to-right pre-order."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(_SHAPES[type(n)][0](n)))
+
+
+def map_node(node: Node, leaf: Callable[[Node], Optional[Node]]) -> Node:
+    """Rebuild node bottom-up, replacing each sub-node n where leaf(n) is not None.
+
+    A replaced sub-node is not entered; unchanged sub-trees are shared.
+    """
+    new = leaf(node)
+    if new is not None:
+        return new
+    kids, rebuild = _SHAPES[type(node)]
+    old = kids(node)
+    mapped = tuple([map_node(k, leaf) for k in old])
+    if all(map(operator.is_, mapped, old)):
+        return node
+    return rebuild(node, mapped)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +468,7 @@ def _resolve_sorts(f: Formula, sig: Signature) -> Formula:
     env: dict[str, str] = {}
     for _ in range(2):
         _collect_formula(f, sig, env)
-    out = _assign_formula(f, env)
+    out = _assign(f, env)
     check_formula(out, sig)
     return out
 
@@ -418,7 +477,7 @@ def _resolve_sorts_term(t: LTerm, sig: Signature) -> LTerm:
     env: dict[str, str] = {}
     for _ in range(2):
         _collect_term(t, None, sig, env)
-    out = _assign_term(t, env)
+    out = _assign(t, env)
     check_term(out, sig)
     return out
 
@@ -485,39 +544,17 @@ def _peek_sort(t: LTerm, sig: Signature, env: dict[str, str]) -> str | None:
     return _peek_sort(t.then, sig, env) or _peek_sort(t.els, sig, env)
 
 
-def _assign_formula(f: Formula, env: dict[str, str]) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_assign_term(a, env) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(_assign_term(f.lhs, env), _assign_term(f.rhs, env))
-    if isinstance(f, Not):
-        return Not(_assign_formula(f.body, env))
-    if isinstance(f, And):
-        return And(tuple(_assign_formula(p, env) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_assign_formula(p, env) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_assign_formula(f.antecedent, env), _assign_formula(f.consequent, env))
-    if isinstance(f, Iff):
-        return Iff(_assign_formula(f.lhs, env), _assign_formula(f.rhs, env))
-    return f
+def _assign(node: Node, env: dict[str, str]) -> Node:
+    """Give every unsorted metavar its sort from env."""
 
+    def sorted_metavar(n: Node) -> Optional[MetaVar]:
+        if not isinstance(n, MetaVar) or n.sort != "?":
+            return None
+        if n.name not in env:
+            raise SortError(f"cannot infer sort of metavar {n.name}; annotate it")
+        return MetaVar(n.name, env[n.name])
 
-def _assign_term(t: LTerm, env: dict[str, str]) -> LTerm:
-    if isinstance(t, MetaVar):
-        sort = t.sort if t.sort != "?" else env.get(t.name)
-        if sort is None:
-            raise SortError(f"cannot infer sort of metavar {t.name}; annotate it")
-        return MetaVar(t.name, sort)
-    if isinstance(t, Apply):
-        return Apply(t.fn, tuple(_assign_term(a, env) for a in t.args))
-    if isinstance(t, Cond):
-        return Cond(
-            _assign_formula(t.test, env),
-            _assign_term(t.then, env),
-            _assign_term(t.els, env),
-        )
-    return t
+    return map_node(node, sorted_metavar)
 
 
 # ---------------------------------------------------------------------------
@@ -562,49 +599,6 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # structural helpers
 
-Node = Union[Formula, LTerm]
-
-
-def children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, (TrueF, FalseF, MetaVar, Literal)):
-        return ()
-    if isinstance(node, (Atom, Apply)):
-        return node.args
-    if isinstance(node, Eq):
-        return (node.lhs, node.rhs)
-    if isinstance(node, Not):
-        return (node.body,)
-    if isinstance(node, (And, Or)):
-        return node.parts
-    if isinstance(node, Implies):
-        return (node.antecedent, node.consequent)
-    if isinstance(node, Iff):
-        return (node.lhs, node.rhs)
-    return (node.test, node.then, node.els)
-
-
-def _with_children(node: Node, kids: tuple[Node, ...]) -> Node:
-    if isinstance(node, Atom):
-        return Atom(node.pred, kids)
-    if isinstance(node, Apply):
-        return Apply(node.fn, kids)
-    if isinstance(node, Eq):
-        return Eq(kids[0], kids[1])
-    if isinstance(node, Not):
-        return Not(kids[0])
-    if isinstance(node, And):
-        return And(kids)
-    if isinstance(node, Or):
-        return Or(kids)
-    if isinstance(node, Implies):
-        return Implies(kids[0], kids[1])
-    if isinstance(node, Iff):
-        return Iff(kids[0], kids[1])
-    if isinstance(node, Cond):
-        return Cond(kids[0], kids[1], kids[2])
-    raise BadPathError(f"node {node!r} has no children")
-
-
 def get_at(node: Node, path: tuple[int, ...]) -> Node:
     """Fetch the sub-node at a 1-based child path."""
     for idx in path:
@@ -618,12 +612,13 @@ def get_at(node: Node, path: tuple[int, ...]) -> Node:
 def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
     if not path:
         return new
-    kids = list(children(node))
+    kids, rebuild = _SHAPES[type(node)]
+    new_kids = list(kids(node))
     idx = path[0]
-    if not (1 <= idx <= len(kids)):
+    if not (1 <= idx <= len(new_kids)):
         raise BadPathError(f"no child {idx} at {node!r}")
-    kids[idx - 1] = replace_at(kids[idx - 1], path[1:], new)
-    return _with_children(node, tuple(kids))
+    new_kids[idx - 1] = replace_at(new_kids[idx - 1], path[1:], new)
+    return rebuild(node, tuple(new_kids))
 
 
 def parse_path(text: str) -> tuple[int, ...]:
@@ -638,16 +633,7 @@ def parse_path(text: str) -> tuple[int, ...]:
 
 
 def metavars_of(node: Node) -> frozenset[MetaVar]:
-    out: set[MetaVar] = set()
-
-    def walk(n: Node) -> None:
-        if isinstance(n, MetaVar):
-            out.add(n)
-        for kid in children(n):
-            walk(kid)
-
-    walk(node)
-    return frozenset(out)
+    return frozenset(n for n in nodes(node) if isinstance(n, MetaVar))
 
 
 def atom_paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
@@ -671,55 +657,11 @@ def atom_paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
 MetaSubst = dict[str, LTerm]
 
 
-def apply_subst_term(t: LTerm, sub: MetaSubst) -> LTerm:
-    if isinstance(t, MetaVar):
-        return sub.get(t.name, t)
-    if isinstance(t, Apply):
-        return Apply(t.fn, tuple(apply_subst_term(a, sub) for a in t.args))
-    if isinstance(t, Cond):
-        return Cond(
-            apply_subst_formula(t.test, sub),
-            apply_subst_term(t.then, sub),
-            apply_subst_term(t.els, sub),
-        )
-    return t
-
-
-def apply_subst_formula(f: Formula, sub: MetaSubst) -> Formula:
-    """Homomorphic application of a meta-substitution."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(apply_subst_term(a, sub) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(apply_subst_term(f.lhs, sub), apply_subst_term(f.rhs, sub))
-    if isinstance(f, Not):
-        return Not(apply_subst_formula(f.body, sub))
-    if isinstance(f, And):
-        return And(tuple(apply_subst_formula(p, sub) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(apply_subst_formula(p, sub) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(
-            apply_subst_formula(f.antecedent, sub),
-            apply_subst_formula(f.consequent, sub),
-        )
-    if isinstance(f, Iff):
-        return Iff(apply_subst_formula(f.lhs, sub), apply_subst_formula(f.rhs, sub))
-    return f
-
-
 def apply_subst(node: Node, sub: MetaSubst) -> Node:
-    if isinstance(node, (TrueF, FalseF, Atom, Not, And, Or, Implies, Iff, Eq)):
-        return apply_subst_formula(node, sub)
-    return apply_subst_term(node, sub)
-
-
-def compose_meta(s1: MetaSubst, s2: MetaSubst) -> MetaSubst:
-    out = {name: apply_subst_term(t, s2) for name, t in s1.items()}
-    for name, t in s2.items():
-        out.setdefault(name, t)
-    return {
-        n: t for n, t in out.items() if not (isinstance(t, MetaVar) and t.name == n)
-    }
+    """Homomorphic application of a meta-substitution."""
+    if not sub:
+        return node
+    return map_node(node, lambda n: sub.get(n.name) if isinstance(n, MetaVar) else None)
 
 
 def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaSubst]:
@@ -760,7 +702,7 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
             return False
         one = {v.name: t}
         for name in list(sub):
-            sub[name] = apply_subst_term(sub[name], one)
+            sub[name] = apply_subst(sub[name], one)
         sub[v.name] = t
         return True
 
@@ -770,13 +712,12 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
 
 
 def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:
-    sub = {
-        old: MetaVar(new, mv.sort)
-        for mv in metavars_of(node)
-        for old, new in [(mv.name, mapping.get(mv.name))]
-        if new is not None
-    }
-    return apply_subst(node, sub)
+    return map_node(
+        node,
+        lambda n: MetaVar(mapping[n.name], n.sort)
+        if isinstance(n, MetaVar) and n.name in mapping
+        else None,
+    )
 
 
 # ---------------------------------------------------------------------------

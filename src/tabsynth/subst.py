@@ -8,7 +8,7 @@ which maps every expression to the black hole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .term import (
     BLACK_HOLE,
@@ -16,7 +16,6 @@ from .term import (
     Const,
     Expr,
     Var,
-    is_atom,
     parse_expr,
     print_expr,
     vars_of,
@@ -28,14 +27,6 @@ class SubstError(Exception):
 
 
 class DuplicateVariableError(SubstError):
-    pass
-
-
-class ImproperOperandError(SubstError):
-    pass
-
-
-class NotAPermutationError(SubstError):
     pass
 
 
@@ -106,15 +97,6 @@ def compose(s1: Subst, s2: Subst) -> Subst:
     return make_subst(pairs.items())
 
 
-def add(s1: Subst, s2: Subst) -> Proper:
-    """Parallel combination; bindings of s1 win on overlap."""
-    if isinstance(s1, Failure) or isinstance(s2, Failure):
-        raise ImproperOperandError("add is defined only for proper substitutions")
-    pairs = dict(s2.bindings)
-    pairs.update(dict(s1.bindings))
-    return make_subst(pairs.items())
-
-
 def replacement(x: str, e: Expr) -> Proper:
     """The single-variable substitution {x -> e}; {x -> x} is empty."""
     return make_subst([(x, e)])
@@ -135,12 +117,6 @@ def range_of(s: Subst) -> frozenset[str]:
     return out
 
 
-def support(s: Subst) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """Return (dom, range, vars) of s; all empty for bot and {}."""
-    d, r = dom_of(s), range_of(s)
-    return d, r, d | r
-
-
 def misses(s: Subst, e: Expr) -> bool:
     """True iff applying s leaves e unchanged."""
     return apply(e, s) == e
@@ -156,116 +132,6 @@ def is_idempotent(s: Subst) -> bool:
 def more_general(s1: Subst, s2: Subst) -> bool:
     """Strong generality: compose(s1, s2) = s2 (s2 extends s1)."""
     return compose(s1, s2) == s2
-
-
-def subst_equal(s1: Subst, s2: Subst) -> bool:
-    """Equality of canonical forms (same effect on every variable)."""
-    return s1 == s2
-
-
-def _match(pattern: Expr, target: Expr, out: dict[str, Expr]) -> bool:
-    if isinstance(pattern, Var):
-        if pattern.name in out:
-            return out[pattern.name] == target
-        out[pattern.name] = target
-        return True
-    if isinstance(pattern, Const):
-        return pattern == target
-    if is_atom(target):
-        return False
-    assert isinstance(pattern, Cons) and isinstance(target, Cons)
-    return _match(pattern.left, target.left, out) and _match(
-        pattern.right, target.right, out
-    )
-
-
-def weakly_more_general(s1: Proper, s2: Proper) -> Optional[Proper]:
-    """Find a witness d with compose(s1, d) = s2, if one exists.
-
-    Solved as a simultaneous matching problem over dom(s1) | dom(s2).
-    """
-    bindings: dict[str, Expr] = {}
-    for x in sorted(dom_of(s1) | dom_of(s2)):
-        if not _match(apply(Var(x), s1), apply(Var(x), s2), bindings):
-            return None
-    for y in sorted(dom_of(s2) - dom_of(s1)):
-        bindings.setdefault(y, apply(Var(y), s2))
-    witness = make_subst(bindings.items())
-    if compose(s1, witness) == s2:
-        return witness
-    return None
-
-
-class FreshSupply:
-    """Monotonic supply of fresh variable names base#k."""
-
-    def __init__(self, start: int = 1):
-        self._next = start
-
-    def fresh(self, base: str) -> str:
-        base = base.split("#", 1)[0]
-        name = f"{base}#{self._next}"
-        self._next += 1
-        return name
-
-
-_GLOBAL_SUPPLY = FreshSupply()
-
-
-def standardize_apart(e1, e2, supply: FreshSupply | None = None):
-    """Rename the variables of e2 (in first-occurrence order) to fresh names.
-
-    Returns the renamed e2 and the renaming substitution; the result
-    shares no variables with e1.  Accepts expressions or formulas; for a
-    formula the metavariables are renamed.
-    """
-    supply = supply or _GLOBAL_SUPPLY
-    if not isinstance(e2, (Const, Var, Cons)):
-        return _standardize_formula(e2, supply)
-    renaming: dict[str, Expr] = {}
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Var) and e.name not in renaming:
-            renaming[e.name] = Var(supply.fresh(e.name))
-        elif isinstance(e, Cons):
-            walk(e.left)
-            walk(e.right)
-
-    walk(e2)
-    perm = make_subst(renaming.items())
-    return apply(e2, perm), perm
-
-
-def _standardize_formula(f, supply: FreshSupply):
-    from . import logic
-
-    renaming: dict[str, str] = {}
-
-    def walk(node) -> None:
-        if isinstance(node, logic.MetaVar) and node.name not in renaming:
-            renaming[node.name] = supply.fresh(node.name)
-        for kid in logic.children(node):
-            walk(kid)
-
-    walk(f)
-    perm = make_subst((old, Var(new)) for old, new in renaming.items())
-    return logic.rename_metavars(f, renaming), perm
-
-
-def permutation_inverse(s: Subst) -> Proper:
-    """Invert a permutation substitution; composing either way gives {}."""
-    if isinstance(s, Failure):
-        raise NotAPermutationError("bot is not a permutation")
-    images = []
-    for _, img in s.bindings:
-        if not isinstance(img, Var):
-            raise NotAPermutationError("image is not a variable")
-        images.append(img.name)
-    if set(images) != dom_of(s) or len(set(images)) != len(images):
-        raise NotAPermutationError("images are not a permutation of the domain")
-    return make_subst(
-        (img.name, Var(x)) for x, img in s.bindings if isinstance(img, Var)
-    )
 
 
 def print_subst(s: Subst) -> str:

@@ -16,6 +16,7 @@ from .logic import (
     And,
     Apply,
     Atom,
+    BadPathError,
     Cond,
     Eq,
     FalseF,
@@ -58,10 +59,6 @@ class NotUnifiableError(TableauError):
     pass
 
 
-class BadPathError(TableauError):
-    pass
-
-
 class NotSplittableError(TableauError):
     pass
 
@@ -95,9 +92,7 @@ def nonprimitive_symbol(
     A body may use the given primitives, its parameters as constants,
     calls to itself, and metavariables.
     """
-    stack: list[L.Node] = [body]
-    while stack:
-        node = stack.pop()
+    for node in L.nodes(body):
         if isinstance(node, Apply) and not (
             node.fn in functions
             or node.fn == name
@@ -106,7 +101,6 @@ def nonprimitive_symbol(
             return node.fn
         if isinstance(node, Atom) and node.pred not in predicates:
             return node.pred
-        stack.extend(reversed(L.children(node)))
     return None
 
 
@@ -342,13 +336,13 @@ class Tableau:
             raise NotUnifiableError(
                 f"{L.print_formula(occ1)} does not unify with {L.print_formula(occ2)}"
             )
-        test = L.apply_subst_formula(occ1, theta)
+        test = L.apply_subst(occ1, theta)
         g1 = self._goal_sense(
-            L.apply_subst_formula(L.replace_at(row1.formula, p1, L.TRUE), theta),
+            L.apply_subst(L.replace_at(row1.formula, p1, L.TRUE), theta),
             row1.kind,
         )
         g2 = self._goal_sense(
-            L.apply_subst_formula(L.replace_at(f2, p2, L.FALSE), theta), row2.kind
+            L.apply_subst(L.replace_at(f2, p2, L.FALSE), theta), row2.kind
         )
         combined = normalize(And((g1, g2)))
         output = self._outputs(test, row1.output, out2, theta)
@@ -397,12 +391,12 @@ class Tableau:
             raise NotUnifiableError("selected occurrence does not unify with the side")
         rewritten = L.apply_subst(L.replace_at(f2, p2, dst), theta)
         g1 = self._goal_sense(
-            L.apply_subst_formula(L.replace_at(row1.formula, p1, L.FALSE), theta),
+            L.apply_subst(L.replace_at(row1.formula, p1, L.FALSE), theta),
             row1.kind,
         )
         g2 = self._goal_sense(rewritten, row2.kind)
         combined = normalize(And((g1, g2)))
-        test = L.apply_subst_formula(eqnode, theta)
+        test = L.apply_subst(eqnode, theta)
         output = self._outputs(test, out2, row1.output, theta)
         rule = "eqrepl" if node_type is Eq else "iffrepl"
         just = Justification(
@@ -427,11 +421,17 @@ class Tableau:
         call = Apply(self.spec.name, tuple(primed))
         sub = {name: mv for (name, _), mv in zip(self.spec.params, primed)}
         cond = _instantiate_params(self.spec.condition, sub)
-        cond = L.apply_subst_formula(cond, {self.spec.output.name: call})
+        cond = L.apply_subst(cond, {self.spec.output.name: call})
         wf = Atom(
             "wf-ordered",
             (Apply(relname), self._measure_tuple(primed), self._measure_tuple(actual)),
         )
+        if len(primed) == 1:
+            # single-input programs compare the argument itself; relax the
+            # ordering predicate to that sort in a signature this tableau owns
+            sort = primed[0].sort
+            self.sig = self.sig.copy()
+            self.sig.predicates["wf-ordered"] = ("rel", sort, sort)
         self.decrease = relname
         return self._append(
             ASSERTION,
@@ -445,9 +445,6 @@ class Tableau:
         if sorts == ("subst", "expr", "expr"):
             return Apply("tuple3", tuple(items))
         if len(items) == 1:
-            # single-input programs compare the argument itself; relax the
-            # ordering predicate to that sort in this tableau's signature
-            self.sig.predicates["wf-ordered"] = ("rel", sorts[0], sorts[0])
             return items[0]
         raise IllFormedSpecError(f"no tuple encoding for parameter sorts {sorts}")
 
@@ -481,8 +478,8 @@ class Tableau:
         return f if kind == GOAL else Not(f)
 
     def _outputs(self, test, then_out, else_out, theta):
-        t1 = L.apply_subst_term(then_out, theta) if then_out is not None else None
-        t2 = L.apply_subst_term(else_out, theta) if else_out is not None else None
+        t1 = L.apply_subst(then_out, theta) if then_out is not None else None
+        t2 = L.apply_subst(else_out, theta) if else_out is not None else None
         if t1 is not None and t2 is not None:
             return _mk_cond(test, t1, t2)
         return t1 if t1 is not None else t2
@@ -517,34 +514,9 @@ def _distribute_and(f: Formula) -> Formula:
 
 def _instantiate_params(f: Formula, sub: dict[str, MetaVar]) -> Formula:
     """Replace parameter constants with the given metavars."""
-
-    def walk_term(t: LTerm) -> LTerm:
-        if isinstance(t, Apply):
-            if not t.args and t.fn in sub:
-                return sub[t.fn]
-            return Apply(t.fn, tuple(walk_term(a) for a in t.args))
-        if isinstance(t, Cond):
-            return Cond(walk_formula(t.test), walk_term(t.then), walk_term(t.els))
-        return t
-
-    def walk_formula(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(walk_term(a) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(walk_term(g.lhs), walk_term(g.rhs))
-        if isinstance(g, Not):
-            return Not(walk_formula(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk_formula(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk_formula(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk_formula(g.antecedent), walk_formula(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk_formula(g.lhs), walk_formula(g.rhs))
-        return g
-
-    return walk_formula(f)
+    return L.map_node(
+        f, lambda n: sub.get(n.fn) if isinstance(n, Apply) and not n.args else None
+    )
 
 
 def _print_meta(theta: L.MetaSubst) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 
 class ExprError(Exception):
@@ -63,25 +63,8 @@ def is_var(e: Expr) -> bool:
     return isinstance(e, Var)
 
 
-def is_cons(e: Expr) -> bool:
-    return isinstance(e, Cons)
-
-
 def is_atom(e: Expr) -> bool:
     return not isinstance(e, Cons)
-
-
-def classify(e: Expr) -> str:
-    """Return the tag of e: 'const', 'var' or 'cons'."""
-    if isinstance(e, Const):
-        return "const"
-    if isinstance(e, Var):
-        return "var"
-    return "cons"
-
-
-def cons(left: Expr, right: Expr) -> Cons:
-    return Cons(left, right)
 
 
 def left_of(e: Expr) -> Expr:
@@ -96,14 +79,6 @@ def right_of(e: Expr) -> Expr:
         raise AtomicExpressionError(f"right of atom {print_expr(e)}")
     assert isinstance(e, Cons)
     return e.right
-
-
-def destructure(e: Expr) -> tuple[Expr, Expr]:
-    """Split a non-atomic expression into (left, right)."""
-    if is_atom(e):
-        raise AtomicExpressionError(f"cannot destructure atom {print_expr(e)}")
-    assert isinstance(e, Cons)
-    return e.left, e.right
 
 
 def size_of(e: Expr) -> int:
@@ -138,14 +113,6 @@ def occurs_in(d: Expr, e: Expr, mode: str = "proper") -> bool:
         return False
     assert isinstance(e, Cons)
     return occurs_in(d, e.left, "reflexive") or occurs_in(d, e.right, "reflexive")
-
-
-def subexpressions(e: Expr) -> Iterator[Expr]:
-    """All subexpressions of e, including e itself."""
-    yield e
-    if isinstance(e, Cons):
-        yield from subexpressions(e.left)
-        yield from subexpressions(e.right)
 
 
 def encode_tuple(items: list[Expr]) -> Expr:

@@ -14,7 +14,6 @@ from typing import Optional
 from .term import Cons, Expr, Var, encode_tuple, is_const, is_var, occurs_in, vars_of
 from .subst import (
     BOT,
-    Proper,
     Subst,
     apply,
     compose,
@@ -156,20 +155,6 @@ def mgi_decide(env: Subst, e1: Expr, e2: Expr, s: Subst) -> bool:
     if best == BOT:
         return True
     return compose(s, best) == best
-
-
-def mgi_refute_witness(
-    env: Subst, e1: Expr, e2: Expr, s: Subst, witnesses: list[Subst]
-) -> Optional[Subst]:
-    """First witness refuting mgi(env, e1, e2, s) among the candidates.
-
-    A refutation is a unifier of e1 and e2 extending env that s is not
-    strongly more general than.
-    """
-    for w in witnesses:
-        if is_unifier(w, e1, e2) and more_general(env, w) and not more_general(s, w):
-            return w
-    return None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .term import Expr, encode_tuple, size_of, vars_of
 from .subst import Subst, range_of
@@ -156,30 +156,6 @@ def u_less(t1: InputTriple, t2: InputTriple) -> bool:
     if m1 < m2:
         return True
     return m1 <= m2 and size_of(t1.e1) < size_of(t2.e1)
-
-
-@dataclass(frozen=True)
-class StrictnessReport:
-    checked: int
-    irreflexivity_violations: tuple
-    antisymmetry_violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.irreflexivity_violations and not self.antisymmetry_violations
-
-
-def strictness_probe(spec: RelSpec, samples: Sequence[tuple]) -> StrictnessReport:
-    """Check irreflexivity and antisymmetry over the sampled pairs."""
-    irref, antisym = [], []
-    for a, b in samples:
-        if rel_less(spec, a, a):
-            irref.append(a)
-        if rel_less(spec, b, b):
-            irref.append(b)
-        if rel_less(spec, a, b) and rel_less(spec, b, a):
-            antisym.append((a, b))
-    return StrictnessReport(len(samples), tuple(irref), tuple(antisym))
 
 
 def parse_relspec(text: str) -> RelSpec:

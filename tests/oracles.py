@@ -1,0 +1,88 @@
+"""Independent oracles the tests use to check product behaviour.
+
+Each one decides a property by a different route than the code under
+test: refuting most-general idempotence with sampled unifiers, probing a
+relation for strictness on sampled pairs, and weak generality by
+matching.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from tabsynth.subst import Proper, Subst, apply, compose, dom_of, make_subst, more_general
+from tabsynth.term import Cons, Const, Expr, Var, is_atom
+from tabsynth.unify import is_unifier
+from tabsynth.wf import RelSpec, rel_less
+
+
+def mgi_refute_witness(
+    env: Subst, e1: Expr, e2: Expr, s: Subst, witnesses: list[Subst]
+) -> Optional[Subst]:
+    """First witness refuting mgi(env, e1, e2, s) among the candidates.
+
+    A refutation is a unifier of e1 and e2 extending env that s is not
+    strongly more general than.
+    """
+    for w in witnesses:
+        if is_unifier(w, e1, e2) and more_general(env, w) and not more_general(s, w):
+            return w
+    return None
+
+
+@dataclass(frozen=True)
+class StrictnessReport:
+    checked: int
+    irreflexivity_violations: tuple
+    antisymmetry_violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.irreflexivity_violations and not self.antisymmetry_violations
+
+
+def strictness_probe(spec: RelSpec, samples: Sequence[tuple]) -> StrictnessReport:
+    """Check irreflexivity and antisymmetry over the sampled pairs."""
+    irref, antisym = [], []
+    for a, b in samples:
+        if rel_less(spec, a, a):
+            irref.append(a)
+        if rel_less(spec, b, b):
+            irref.append(b)
+        if rel_less(spec, a, b) and rel_less(spec, b, a):
+            antisym.append((a, b))
+    return StrictnessReport(len(samples), tuple(irref), tuple(antisym))
+
+
+def _match(pattern: Expr, target: Expr, out: dict[str, Expr]) -> bool:
+    if isinstance(pattern, Var):
+        if pattern.name in out:
+            return out[pattern.name] == target
+        out[pattern.name] = target
+        return True
+    if isinstance(pattern, Const):
+        return pattern == target
+    if is_atom(target):
+        return False
+    assert isinstance(pattern, Cons) and isinstance(target, Cons)
+    return _match(pattern.left, target.left, out) and _match(
+        pattern.right, target.right, out
+    )
+
+
+def weakly_more_general(s1: Proper, s2: Proper) -> Optional[Proper]:
+    """Find a witness d with compose(s1, d) = s2, if one exists.
+
+    Solved as a simultaneous matching problem over dom(s1) | dom(s2).
+    """
+    bindings: dict[str, Expr] = {}
+    for x in sorted(dom_of(s1) | dom_of(s2)):
+        if not _match(apply(Var(x), s1), apply(Var(x), s2), bindings):
+            return None
+    for y in sorted(dom_of(s2) - dom_of(s1)):
+        bindings.setdefault(y, apply(Var(y), s2))
+    witness = make_subst(bindings.items())
+    if compose(s1, witness) == s2:
+        return witness
+    return None

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from tabsynth import engine
+from tabsynth import logic as L
 from tabsynth import program as P
 from tabsynth.logic import MetaVar
 
@@ -103,6 +104,34 @@ def test_search_row_budget():
 def test_parse_script_comments():
     commands = engine.parse_script("# setup\ninduct u-rel  # hypothesis\n\nextract\n")
     assert [c.text for c in commands] == ["induct u-rel", "extract"]
+
+
+def test_hash_inside_a_metavar_name_is_not_a_comment():
+    theory = engine.load_theory("lemma foo (= X#1:expr X#1)  # fresh name\n")
+    x = MetaVar("X#1", "expr")
+    assert theory.lemmas["foo"] == L.Eq(x, x)
+    commands = engine.parse_script("assume (is-var X#2:expr)  # a case\nextract\n")
+    assert [c.text for c in commands] == ["assume (is-var X#2:expr)", "extract"]
+
+
+def test_single_input_induction_leaves_theory_signature_alone():
+    theory = engine.load_theory(
+        "wfrel sz (size-lt)\nspec id1 (e:expr) output Z:expr (= Z e)\n"
+    )
+    tableau = engine.make_tableau(theory, "id1")
+    tableau.insert_induction_hypothesis("sz")
+    assert tableau.sig.predicates["wf-ordered"] == ("rel", "expr", "expr")
+    assert theory.signature.predicates["wf-ordered"] == ("rel", "triple", "triple")
+
+
+def test_deep_term_walks_do_not_recurse():
+    chain = MetaVar("X", "expr")
+    for _ in range(5000):
+        chain = L.Apply("cons", (chain, L.Apply("e1")))
+    f = L.Eq(chain, MetaVar("Y", "expr"))
+    assert L.metavars_of(f) == {MetaVar("X", "expr"), MetaVar("Y", "expr")}
+    # 5000 conses, 5000 e1 leaves, X, Y and the equality, at weight 1 each
+    assert engine._formula_weight(f, engine.SearchConfig()) == 10003
 
 
 def test_search_full_theory_exhausts_gracefully(unify_theory):

@@ -17,8 +17,7 @@ from tabsynth.logic import (
     Or,
     SortError,
     TrueF,
-    apply_subst_formula,
-    compose_meta,
+    apply_subst,
     default_signature,
     get_at,
     metavars_of,
@@ -92,9 +91,22 @@ def test_print_parse_round_trip():
 def test_apply_subst_formula():
     sig = sig_with_params()
     f = parse_formula("(and (is-var X:expr) (misses TH:subst X))", sig)
-    out = apply_subst_formula(f, {"X": Apply("e1")})
+    out = apply_subst(f, {"X": Apply("e1")})
     assert out == parse_formula("(and (is-var e1) (misses TH:subst e1))", sig)
-    assert apply_subst_formula(f, {}) == f
+    assert apply_subst(f, {}) == f
+
+
+def test_nodes_and_map_node():
+    sig = sig_with_params()
+    f = parse_formula("(and (idem TH:subst) (= (apply e1 TH) E:expr))", sig)
+    kinds = [type(n).__name__ for n in L.nodes(f)]
+    assert kinds == ["And", "Atom", "MetaVar", "Eq", "Apply", "Apply", "MetaVar", "MetaVar"]
+    assert L.map_node(f, lambda n: None) is f
+    target = parse_term("(apply e1 TH:subst)", sig)
+    # a replaced node is not entered, and unchanged sub-trees are shared
+    out = L.map_node(f, lambda n: Apply("e2") if n == target else None)
+    assert out == parse_formula("(and (idem TH:subst) (= e2 E:expr))", sig)
+    assert out.parts[0] is f.parts[0]
 
 
 def test_term_unify_examples():
@@ -108,7 +120,7 @@ def test_term_unify_examples():
         "E2": Apply("e2"),
         "TH": MetaVar("TH1", "subst"),
     }
-    assert apply_subst_formula(a, theta) == apply_subst_formula(b, theta)
+    assert apply_subst(a, theta) == apply_subst(b, theta)
 
 
 def test_term_unify_occurs_check():
@@ -132,17 +144,6 @@ def test_term_unify_idempotent():
     assert theta is not None
     for image in theta.values():
         assert not ({mv.name for mv in metavars_of(image)} & set(theta))
-
-
-def test_compose_meta():
-    u = {"X": MetaVar("Y", "expr")}
-    v = {"Y": Apply("e1")}
-    sig = sig_with_params()
-    t = parse_term("(cons X:expr Y:expr)", sig)
-    composed = compose_meta(u, v)
-    assert L.apply_subst_term(L.apply_subst_term(t, u), v) == L.apply_subst_term(
-        t, composed
-    )
 
 
 def test_normalize_examples():
@@ -245,7 +246,7 @@ def test_term_unify_random_pairs():
         if theta is None:
             continue
         unified += 1
-        assert L.apply_subst_term(a, theta) == L.apply_subst_term(b, theta)
+        assert apply_subst(a, theta) == apply_subst(b, theta)
         for image in theta.values():
             assert not ({mv.name for mv in metavars_of(image)} & set(theta))
     assert unified > 50

@@ -12,14 +12,14 @@ from tabsynth.term import (
     ExprSyntaxError,
     NotATupleError,
     Var,
-    classify,
     decode_tuple,
-    destructure,
     encode_tuple,
     is_atom,
+    left_of,
     occurs_in,
     parse_expr,
     print_expr,
+    right_of,
     size_of,
     vars_of,
 )
@@ -62,17 +62,11 @@ def test_print_canonical():
 
 
 def test_destructure():
-    assert destructure(parse_expr("(a . X)")) == (Const("a"), Var("X"))
     e = parse_expr("(a . (b . nil))")
-    assert destructure(e) == (Const("a"), parse_expr("(b . nil)"))
-    with pytest.raises(AtomicExpressionError):
-        destructure(Const("a"))
-
-
-def test_classify():
-    assert classify(Const("a")) == "const"
-    assert classify(Var("X")) == "var"
-    assert classify(parse_expr("(a . b)")) == "cons"
+    assert (left_of(e), right_of(e)) == (Const("a"), parse_expr("(b . nil)"))
+    for part in (left_of, right_of):
+        with pytest.raises(AtomicExpressionError):
+            part(Const("a"))
 
 
 def test_size():
@@ -106,8 +100,7 @@ def test_tuple_codec():
 @given(exprs)
 def test_nonatomic_reconstruction(e):
     if not is_atom(e):
-        left, right = destructure(e)
-        assert Cons(left, right) == e
+        assert Cons(left_of(e), right_of(e)) == e
 
 
 @given(exprs, exprs)

@@ -16,11 +16,11 @@ from tabsynth.wf import (
     parse_relspec,
     rel_leq,
     rel_less,
-    strictness_probe,
     u_less,
 )
 
 from genlib import rand_expr, rand_subst
+from oracles import strictness_probe
 
 rngs = st.integers(0, 10**9).map(random.Random)
 
