@@ -63,7 +63,7 @@ def load_theory(text: str) -> Theory:
             theory.lemmas[name] = L.parse_formula(body, theory.signature)
         elif kind == "wfrel":
             name, body = rest.split(None, 1)
-            theory.relations[name] = parse_relspec(body)
+            theory.relations[name] = parse_relspec(L.read_sexp(body))
             theory.signature.add_constant(name, "rel")
         elif kind == "spec":
             spec = _parse_spec(rest, theory.signature)
@@ -285,10 +285,10 @@ def verify_replay(theory: Theory, spec_name: str, tableau: Tableau) -> bool:
 # ---------------------------------------------------------------------------
 # bounded best-first search
 
-# default literal-selection precedence, lowest first; selection boxes only
-# atoms whose predicate is maximal within their row.  The order is a tuned
-# strategy knob, not a semantic commitment.
-DEFAULT_PRECEDENCE = (
+# literal-selection precedence, lowest first; selection boxes only atoms
+# whose predicate is maximal within their row.  The order is a tuned
+# strategy, not a semantic commitment.
+PRECEDENCE = (
     "idem",
     "is-proper",
     "is-atom",
@@ -307,13 +307,13 @@ DEFAULT_PRECEDENCE = (
     "=",
     "mgiu",
 )
+_RANK = {name: i for i, name in enumerate(PRECEDENCE)}
 
 
 @dataclass
 class SearchConfig:
     max_rows: int = 200
     weights: dict[str, int] = field(default_factory=dict)
-    precedence: tuple[str, ...] = DEFAULT_PRECEDENCE
 
     def weight_of(self, symbol: str) -> int:
         w = self.weights.get(symbol, 1)
@@ -336,16 +336,15 @@ def _formula_weight(f: L.Formula, config: SearchConfig) -> int:
     return total
 
 
-def _selected_paths(row: Row, config: SearchConfig) -> list[tuple[str, L.Formula]]:
+def _selected_paths(row: Row) -> list[tuple[str, L.Formula]]:
     """Atom occurrences eligible for boxing: precedence-maximal predicates."""
     occs = [(path, atom) for path, atom in L.atom_paths(row.formula)]
-    if not occs or not config.precedence:
-        return [(".".join(map(str, p)) or "-", a) for p, a in occs]
-    rank = {name: i for i, name in enumerate(config.precedence)}
+    if not occs:
+        return []
 
     def key(atom) -> int:
         name = atom.pred if isinstance(atom, L.Atom) else "="
-        return rank.get(name, -1)
+        return _RANK.get(name, -1)
 
     best = max(key(a) for _, a in occs)
     return [
@@ -400,7 +399,7 @@ def search(
             yield ("orphan", row.rid)
         # literal selection restricts the activated row; the partner row
         # may be boxed at any atom occurrence
-        own = _selected_paths(row, config)
+        own = _selected_paths(row)
         for other in active:
             if other.rid == row.rid:
                 continue

@@ -239,6 +239,7 @@ class Eq:
 
 Formula = Union[TrueF, FalseF, Atom, Not, And, Or, Implies, Iff, Eq]
 Node = Union[Formula, LTerm]
+_TERM_TYPES = (MetaVar, Literal, Apply, Cond)
 
 TRUE = TrueF()
 FALSE = FalseF()
@@ -272,7 +273,7 @@ def check_term(t: LTerm, sig: Signature, expected: str | None = None) -> str:
         if check_term(t.els, sig) != got:
             raise SortError("conditional branches have different sorts")
     if expected is not None and got != expected:
-        raise SortError(f"expected sort {expected}, got {got} in {print_term(t)}")
+        raise SortError(f"expected sort {expected}, got {got} in {print_formula(t)}")
     return got
 
 
@@ -356,129 +357,122 @@ def map_node(node: Node, leaf: Callable[[Node], Optional[Node]]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# reading, building and printing
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _METAVAR = re.compile(r"[A-Z][A-Za-z0-9_#']*")
 
+Sexp = Union[str, list]
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
+
+def read_sexp(text: str) -> Sexp:
+    """The single datum in text: a token, or a list of data per parenthesis.
+
+    Nesting is kept on an explicit stack, so deep input does not recurse.
+    """
+    stack: list[list] = [[]]
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            raise FormulaSyntaxError("unexpected ')'")
+    if len(stack) > 1:
+        raise FormulaSyntaxError("unclosed '('")
+    if len(stack[0]) != 1:
+        raise FormulaSyntaxError("more than one datum" if stack[0] else "empty input")
+    return stack[0][0]
+
+
+# connective -> (node type, kinds of its children: "f" formula, "t" term;
+# None for one or more formulas)
+_KEYWORDS: dict[str, tuple[type, Optional[str]]] = {
+    "and": (And, None),
+    "or": (Or, None),
+    "not": (Not, "f"),
+    "implies": (Implies, "ff"),
+    "iff": (Iff, "ff"),
+    "=": (Eq, "tt"),
+    "if": (Cond, "ftt"),
+}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+_HEADS = {typ: kw for kw, (typ, _) in _KEYWORDS.items()}
+_HEADS.update({type(c): name for name, c in _CONSTANTS.items()})
+_KINDS = {"f": "formula", "t": "term"}
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     sig = sig or default_signature()
-    toks = _tokenize(text)
-    raw, rest = _parse_formula(toks, sig)
-    if rest:
-        raise FormulaSyntaxError(f"trailing tokens: {' '.join(rest)}")
-    return _resolve_sorts(raw, sig)
+    return _resolve_sorts(_build(read_sexp(text), "f", sig), sig)
 
 
 def parse_term(text: str, sig: Signature | None = None) -> LTerm:
+    return build_term(read_sexp(text), sig)
+
+
+def build_term(datum: Sexp, sig: Signature | None = None) -> LTerm:
+    """The term a datum of read_sexp denotes, with metavar sorts inferred."""
     sig = sig or default_signature()
-    toks = _tokenize(text)
-    raw, rest = _parse_term(toks, sig)
-    if rest:
-        raise FormulaSyntaxError(f"trailing tokens: {' '.join(rest)}")
-    return _resolve_sorts_term(raw, sig)
+    return _resolve_sorts(_build(datum, "t", sig), sig)
 
 
-def _parse_formula(toks: list[str], sig: Signature):
-    if not toks:
-        raise FormulaSyntaxError("unexpected end of formula")
-    tok = toks[0]
-    if tok == "true":
-        return TRUE, toks[1:]
-    if tok == "false":
-        return FALSE, toks[1:]
-    if tok != "(":
+def _build(datum: Sexp, kind: str, sig: Signature) -> Node:
+    """The node a datum denotes as a formula (kind "f") or a term ("t")."""
+    if isinstance(datum, str):
+        return _build_token(datum, kind, sig)
+    if not datum or not isinstance(datum[0], str):
+        raise FormulaSyntaxError("expected a symbol after '('")
+    head, args = datum[0], datum[1:]
+    if head in _KEYWORDS:
+        typ, kinds = _KEYWORDS[head]
+        if (typ in _TERM_TYPES) != (kind == "t"):
+            raise FormulaSyntaxError(f"({head} ...) where a {_KINDS[kind]} is expected")
+        if kinds is None:
+            if not args:
+                raise FormulaSyntaxError(f"empty ({head})")
+            kinds = "f" * len(args)
+        if len(args) != len(kinds):
+            raise FormulaSyntaxError(f"{head} expects {len(kinds)} arguments")
+        kids = tuple([_build(a, k, sig) for a, k in zip(args, kinds)])
+        return _SHAPES[typ][1](None, kids)
+    symbols = sig.predicates if kind == "f" else sig.functions
+    if head not in symbols:
+        raise FormulaSyntaxError(f"unknown {_KINDS[kind]} symbol {head!r}")
+    kids = tuple([_build(a, "t", sig) for a in args])
+    return Atom(head, kids) if kind == "f" else Apply(head, kids)
+
+
+def _build_token(tok: str, kind: str, sig: Signature) -> Node:
+    if kind == "f":
+        if tok in _CONSTANTS:
+            return _CONSTANTS[tok]
         raise FormulaSyntaxError(f"unexpected token {tok!r} in formula")
-    if len(toks) < 2:
-        raise FormulaSyntaxError("unclosed '('")
-    head, rest = toks[1], toks[2:]
-    if head in ("and", "or"):
-        parts = []
-        while rest and rest[0] != ")":
-            part, rest = _parse_formula(rest, sig)
-            parts.append(part)
-        rest = _close(rest)
-        if not parts:
-            raise FormulaSyntaxError(f"empty ({head})")
-        node = And(tuple(parts)) if head == "and" else Or(tuple(parts))
-        return node, rest
-    if head == "not":
-        body, rest = _parse_formula(rest, sig)
-        return Not(body), _close(rest)
-    if head in ("implies", "iff"):
-        a, rest = _parse_formula(rest, sig)
-        b, rest = _parse_formula(rest, sig)
-        node = Implies(a, b) if head == "implies" else Iff(a, b)
-        return node, _close(rest)
-    if head == "=":
-        lhs, rest = _parse_term(rest, sig)
-        rhs, rest = _parse_term(rest, sig)
-        return Eq(lhs, rhs), _close(rest)
-    if head in sig.predicates:
-        args = []
-        while rest and rest[0] != ")":
-            arg, rest = _parse_term(rest, sig)
-            args.append(arg)
-        return Atom(head, tuple(args)), _close(rest)
-    raise FormulaSyntaxError(f"unknown connective or predicate {head!r}")
-
-
-def _parse_term(toks: list[str], sig: Signature):
-    if not toks:
-        raise FormulaSyntaxError("unexpected end of term")
-    tok = toks[0]
-    if tok == ")":
-        raise FormulaSyntaxError("unexpected ')'")
-    if tok == "(":
-        head, rest = toks[1], toks[2:]
-        if head == "if":
-            test, rest = _parse_formula(rest, sig)
-            then, rest = _parse_term(rest, sig)
-            els, rest = _parse_term(rest, sig)
-            return Cond(test, then, els), _close(rest)
-        if head in sig.functions:
-            args = []
-            while rest and rest[0] != ")":
-                arg, rest = _parse_term(rest, sig)
-                args.append(arg)
-            return Apply(head, tuple(args)), _close(rest)
-        raise FormulaSyntaxError(f"unknown function {head!r}")
     name, _, sort = tok.partition(":")
-    if _METAVAR.match(name) and _METAVAR.match(name).end() == len(name):
+    if _METAVAR.fullmatch(name):
         if sort and sort not in SORTS:
             raise SortError(f"unknown sort annotation {sort!r}")
-        return MetaVar(name, sort or "?"), toks[1:]
+        return MetaVar(name, sort or "?")
     if tok in sig.functions and not sig.functions[tok][0]:
-        return Apply(tok, ()), toks[1:]
+        return Apply(tok, ())
     raise FormulaSyntaxError(f"unknown symbol {tok!r}")
 
 
-def _close(toks: list[str]) -> list[str]:
-    if not toks or toks[0] != ")":
-        raise FormulaSyntaxError("expected ')'")
-    return toks[1:]
-
-
-def _resolve_sorts(f: Formula, sig: Signature) -> Formula:
+def _resolve_sorts(node: Node, sig: Signature) -> Node:
+    """Give every unsorted metavar the sort its uses imply, then check sorts."""
     env: dict[str, str] = {}
-    for _ in range(2):
-        _collect_formula(f, sig, env)
-    out = _assign(f, env)
-    check_formula(out, sig)
-    return out
-
-
-def _resolve_sorts_term(t: LTerm, sig: Signature) -> LTerm:
-    env: dict[str, str] = {}
-    for _ in range(2):
-        _collect_term(t, None, sig, env)
-    out = _assign(t, env)
-    check_term(out, sig)
+    known = -1
+    while len(env) != known:  # each pass may sort metavars an earlier one could not
+        known = len(env)
+        _collect(node, None, sig, env)
+    out = _assign(node, env)
+    if isinstance(out, _TERM_TYPES):
+        check_term(out, sig)
+    else:
+        check_formula(out, sig)
     return out
 
 
@@ -490,44 +484,28 @@ def _note(env: dict[str, str], name: str, sort: str | None) -> None:
     env[name] = sort
 
 
-def _collect_formula(f: Formula, sig: Signature, env: dict[str, str]) -> None:
-    if isinstance(f, Atom):
-        if f.pred not in sig.predicates:
-            raise SortError(f"unknown predicate {f.pred}")
-        for arg, want in zip(f.args, sig.predicates[f.pred]):
-            _collect_term(arg, want, sig, env)
-    elif isinstance(f, Eq):
-        lhs = _peek_sort(f.lhs, sig, env)
-        rhs = _peek_sort(f.rhs, sig, env)
-        want = lhs or rhs
-        _collect_term(f.lhs, want, sig, env)
-        _collect_term(f.rhs, want, sig, env)
-    elif isinstance(f, Not):
-        _collect_formula(f.body, sig, env)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _collect_formula(p, sig, env)
-    elif isinstance(f, Implies):
-        _collect_formula(f.antecedent, sig, env)
-        _collect_formula(f.consequent, sig, env)
-    elif isinstance(f, Iff):
-        _collect_formula(f.lhs, sig, env)
-        _collect_formula(f.rhs, sig, env)
-
-
-def _collect_term(t: LTerm, want: str | None, sig: Signature, env: dict[str, str]) -> None:
-    if isinstance(t, MetaVar):
-        _note(env, t.name, t.sort if t.sort != "?" else want)
-    elif isinstance(t, Apply):
-        if t.fn not in sig.functions:
-            raise SortError(f"unknown function {t.fn}")
-        for arg, argwant in zip(t.args, sig.functions[t.fn][0]):
-            _collect_term(arg, argwant, sig, env)
-    elif isinstance(t, Cond):
-        _collect_formula(t.test, sig, env)
-        branch = _peek_sort(t.then, sig, env) or _peek_sort(t.els, sig, env) or want
-        _collect_term(t.then, branch, sig, env)
-        _collect_term(t.els, branch, sig, env)
+def _collect(n: Node, want: str | None, sig: Signature, env: dict[str, str]) -> None:
+    """Note in env the sort of each metavar in n; want is n's expected sort."""
+    if isinstance(n, MetaVar):
+        _note(env, n.name, n.sort if n.sort != "?" else want)
+    elif isinstance(n, Atom):
+        for arg, argwant in zip(n.args, sig.predicates[n.pred]):
+            _collect(arg, argwant, sig, env)
+    elif isinstance(n, Apply):
+        for arg, argwant in zip(n.args, sig.functions[n.fn][0]):
+            _collect(arg, argwant, sig, env)
+    elif isinstance(n, Eq):
+        same = _peek_sort(n.lhs, sig, env) or _peek_sort(n.rhs, sig, env)
+        _collect(n.lhs, same, sig, env)
+        _collect(n.rhs, same, sig, env)
+    elif isinstance(n, Cond):
+        _collect(n.test, None, sig, env)
+        branch = _peek_sort(n.then, sig, env) or _peek_sort(n.els, sig, env) or want
+        _collect(n.then, branch, sig, env)
+        _collect(n.els, branch, sig, env)
+    else:
+        for kid in children(n):
+            _collect(kid, None, sig, env)
 
 
 def _peek_sort(t: LTerm, sig: Signature, env: dict[str, str]) -> str | None:
@@ -538,8 +516,6 @@ def _peek_sort(t: LTerm, sig: Signature, env: dict[str, str]) -> str | None:
     if isinstance(t, Literal):
         return t.sort
     if isinstance(t, Apply):
-        if t.fn not in sig.functions:
-            raise SortError(f"unknown function {t.fn}")
         return sig.functions[t.fn][1]
     return _peek_sort(t.then, sig, env) or _peek_sort(t.els, sig, env)
 
@@ -557,43 +533,26 @@ def _assign(node: Node, env: dict[str, str]) -> Node:
     return map_node(node, sorted_metavar)
 
 
-# ---------------------------------------------------------------------------
-# printing
-
-def print_term(t: LTerm) -> str:
-    if isinstance(t, MetaVar):
-        return t.name
-    if isinstance(t, Literal):
-        if isinstance(t.value, (_subst.Proper, _subst.Failure)):
-            return f"'{_subst.print_subst(t.value)}'"
-        return f"'{_term.print_expr(t.value)}'"
-    if isinstance(t, Apply):
-        if not t.args:
-            return t.fn
-        return "(" + " ".join([t.fn] + [print_term(a) for a in t.args]) + ")"
-    return f"(if {print_formula(t.test)} {print_term(t.then)} {print_term(t.els)})"
-
-
-def print_formula(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Atom):
-        if not f.args:
-            return f"({f.pred})"
-        return "(" + " ".join([f.pred] + [print_term(a) for a in f.args]) + ")"
-    if isinstance(f, Eq):
-        return f"(= {print_term(f.lhs)} {print_term(f.rhs)})"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(print_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(print_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {print_formula(f.antecedent)} {print_formula(f.consequent)})"
-    return f"(iff {print_formula(f.lhs)} {print_formula(f.rhs)})"
+def print_formula(node: Node) -> str:
+    """The text of a formula or a term; parse_formula and parse_term invert it."""
+    typ = type(node)
+    if typ is MetaVar:
+        return node.name
+    if typ is Literal:
+        value = node.value
+        if isinstance(value, (_subst.Proper, _subst.Failure)):
+            return f"'{_subst.print_subst(value)}'"
+        return f"'{_term.print_expr(value)}'"
+    if typ is Apply:
+        head = node.fn
+    elif typ is Atom:
+        head = node.pred
+    else:
+        head = _HEADS[typ]
+    kids = _SHAPES[typ][0](node)
+    if not kids and typ is not Atom:
+        return head
+    return "(" + " ".join([head, *map(print_formula, kids)]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +602,7 @@ def atom_paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
         if isinstance(n, (Atom, Eq)):
             yield path, n
             return
-        if isinstance(n, (MetaVar, Literal, Apply, Cond)):
+        if isinstance(n, _TERM_TYPES):
             return
         for i, kid in enumerate(children(n), start=1):
             yield from walk(kid, path + (i,))
@@ -694,7 +653,7 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
         return all(walk(p, q) for p, q in zip(xk, yk))
 
     def bind(v: MetaVar, t: Node) -> bool:
-        if not isinstance(t, (MetaVar, Literal, Apply, Cond)):
+        if not isinstance(t, _TERM_TYPES):
             return False
         if v.sort != "?" and term_sort(t, sig) != v.sort:
             return False
@@ -723,18 +682,17 @@ def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize(f: Formula, expand_implies: bool = False) -> Formula:
+def normalize(f: Formula) -> Formula:
     """Propositional simplification with negations pushed inward.
 
     Flattens and deduplicates and/or, removes true/false units, applies
     double negation, and simplifies implications and equivalences with
-    constant sides.  Implies is rewritten as a disjunction only when
-    expand_implies is set; Iff atoms are preserved.
+    constant sides.  Implies and Iff are not expanded.
     """
     if isinstance(f, (TrueF, FalseF, Atom, Eq)):
         return f
     if isinstance(f, Not):
-        body = normalize(f.body, expand_implies)
+        body = normalize(f.body)
         if isinstance(body, TrueF):
             return FALSE
         if isinstance(body, FalseF):
@@ -742,33 +700,29 @@ def normalize(f: Formula, expand_implies: bool = False) -> Formula:
         if isinstance(body, Not):
             return body.body
         if isinstance(body, And):
-            return normalize(Or(tuple(Not(p) for p in body.parts)), expand_implies)
+            return normalize(Or(tuple(Not(p) for p in body.parts)))
         if isinstance(body, Or):
-            return normalize(And(tuple(Not(p) for p in body.parts)), expand_implies)
+            return normalize(And(tuple(Not(p) for p in body.parts)))
         if isinstance(body, Implies):
-            return normalize(
-                And((body.antecedent, Not(body.consequent))), expand_implies
-            )
+            return normalize(And((body.antecedent, Not(body.consequent))))
         return Not(body)
     if isinstance(f, And):
-        return _normalize_junction(f.parts, And, TrueF, FalseF, expand_implies)
+        return _normalize_junction(f.parts, And, TrueF, FalseF)
     if isinstance(f, Or):
-        return _normalize_junction(f.parts, Or, FalseF, TrueF, expand_implies)
+        return _normalize_junction(f.parts, Or, FalseF, TrueF)
     if isinstance(f, Implies):
-        p = normalize(f.antecedent, expand_implies)
-        q = normalize(f.consequent, expand_implies)
-        if expand_implies:
-            return normalize(Or((Not(p), q)), expand_implies)
+        p = normalize(f.antecedent)
+        q = normalize(f.consequent)
         if isinstance(p, TrueF):
             return q
         if isinstance(p, FalseF) or isinstance(q, TrueF):
             return TRUE
         if isinstance(q, FalseF):
-            return normalize(Not(p), expand_implies)
+            return normalize(Not(p))
         return Implies(p, q)
     if isinstance(f, Iff):
-        lhs = normalize(f.lhs, expand_implies)
-        rhs = normalize(f.rhs, expand_implies)
+        lhs = normalize(f.lhs)
+        rhs = normalize(f.rhs)
         if lhs == rhs:
             return TRUE
         if isinstance(lhs, TrueF):
@@ -776,17 +730,17 @@ def normalize(f: Formula, expand_implies: bool = False) -> Formula:
         if isinstance(rhs, TrueF):
             return lhs
         if isinstance(lhs, FalseF):
-            return normalize(Not(rhs), expand_implies)
+            return normalize(Not(rhs))
         if isinstance(rhs, FalseF):
-            return normalize(Not(lhs), expand_implies)
+            return normalize(Not(lhs))
         return Iff(lhs, rhs)
     return f
 
 
-def _normalize_junction(parts, ctor, unit, absorber, expand_implies: bool) -> Formula:
+def _normalize_junction(parts, ctor, unit, absorber) -> Formula:
     flat: list[Formula] = []
     for p in parts:
-        p = normalize(p, expand_implies)
+        p = normalize(p)
         if isinstance(p, unit):
             continue
         if isinstance(p, absorber):

@@ -275,34 +275,31 @@ def _pp_term(t: LTerm, indent: int) -> str:
             f"{_pp_term(t.then, indent + 4)}\n"
             f"{_pp_term(t.els, indent + 4)})"
         )
-    return pad + L.print_term(t)
+    return pad + L.print_formula(t)
 
 
 def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
     """Parse `(define (name params...) body)`; params get default sorts."""
-    tokens = L._tokenize(text)
-    if tokens[:2] != ["(", "define"] or tokens[2] != "(":
+    try:
+        datum = L.read_sexp(text)
+    except L.FormulaSyntaxError as exc:
+        raise ProgramError(f"program text: {exc}") from exc
+    if not (
+        isinstance(datum, list)
+        and len(datum) == 3
+        and datum[0] == "define"
+        and isinstance(datum[1], list)
+        and len(datum[1]) > 1
+        and all(isinstance(x, str) for x in datum[1])
+    ):
         raise ProgramError("expected (define (name params...) body)")
-    idx = 3
-    name = tokens[idx]
-    idx += 1
-    params = []
-    while tokens[idx] != ")":
-        params.append(tokens[idx])
-        idx += 1
-    idx += 1
+    name, *params = datum[1]
     sig = sig or L.default_signature()
     sorts = _default_param_sorts(params)
     for pname, sort in zip(params, sorts):
         sig.add_constant(pname, sort)
     sig.add_function(name, tuple(sorts), sorts[0])
-    body_tokens = tokens[idx:]
-    if not body_tokens or body_tokens[-1] != ")":
-        raise ProgramError("unterminated define")
-    raw, rest = L._parse_term(body_tokens[:-1], sig)
-    if rest:
-        raise ProgramError(f"trailing tokens: {' '.join(rest)}")
-    body = L._resolve_sorts_term(raw, sig)
+    body = L.build_term(datum[2], sig)
     bad = nonprimitive_symbol(body, name, set(params))
     if bad is not None:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")

@@ -235,7 +235,7 @@ class Tableau:
 
     def render_row(self, row: Row) -> str:
         tag = "A" if row.kind == ASSERTION else "G"
-        out = L.print_term(row.output) if row.output is not None else ""
+        out = L.print_formula(row.output) if row.output is not None else ""
         return f"#{row.rid} [{tag}] {L.print_formula(row.formula)} | {out} | {row.just.render()}"
 
     # -- fresh renaming (standardize apart) ---------------------------
@@ -522,7 +522,7 @@ def _instantiate_params(f: Formula, sub: dict[str, MetaVar]) -> Formula:
 def _print_meta(theta: L.MetaSubst) -> str:
     if not theta:
         return "{}"
-    inner = ", ".join(f"{n} -> {L.print_term(t)}" for n, t in sorted(theta.items()))
+    inner = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in sorted(theta.items()))
     return "{" + inner + "}"
 
 

@@ -27,10 +27,6 @@ class AtomicExpressionError(ExprError):
     """left/right applied to an atom; no value is defined for it."""
 
 
-class NotATupleError(ExprError):
-    """Right spine of the expression does not end in nil."""
-
-
 @dataclass(frozen=True)
 class Const:
     name: str
@@ -123,16 +119,6 @@ def encode_tuple(items: list[Expr]) -> Expr:
     return out
 
 
-def decode_tuple(e: Expr) -> list[Expr]:
-    items = []
-    while isinstance(e, Cons):
-        items.append(e.left)
-        e = e.right
-    if e != NIL:
-        raise NotATupleError(f"spine ends in {print_expr(e)}, not nil")
-    return items
-
-
 def parse_expr(text: str) -> Expr:
     """Parse the expression grammar.
 
@@ -192,15 +178,8 @@ def _parse_pair_or_list(text: str, pos: int) -> tuple[Expr, int]:
         pos = _skip_ws(text, pos)
 
 
-def print_expr(e: Expr, sugar: bool = False) -> str:
-    """Render e; dotted-pair form is canonical, list sugar optional."""
+def print_expr(e: Expr) -> str:
+    """Render e in the canonical dotted-pair form."""
     if isinstance(e, (Const, Var)):
         return e.name
-    if sugar:
-        try:
-            items = decode_tuple(e)
-        except NotATupleError:
-            pass
-        else:
-            return "(" + " ".join(print_expr(i, sugar=True) for i in items) + ")"
-    return f"({print_expr(e.left, sugar)} . {print_expr(e.right, sugar)})"
+    return f"({print_expr(e.left)} . {print_expr(e.right)})"

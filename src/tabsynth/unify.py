@@ -151,10 +151,12 @@ def mgi_decide(env: Subst, e1: Expr, e2: Expr, s: Subst) -> bool:
     oracle's unifier (itself most-general idempotent, so the comparison
     is sound and complete by mutual generality).
     """
-    best = oracle_unify(env, e1, e2)
-    if best == BOT:
-        return True
-    return compose(s, best) == best
+    return _more_general_than(s, oracle_unify(env, e1, e2))
+
+
+def _more_general_than(s: Subst, best: Subst) -> bool:
+    """mgi against the oracle's unifier best; vacuous when best is bot."""
+    return best == BOT or compose(s, best) == best
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,11 @@ def mgiu_check(env: Subst, e1: Expr, e2: Expr, s: Subst) -> MgiuReport:
     if not (is_proper(env) and is_idempotent(env)):
         raise ValueError("mgiu_check requires a proper idempotent environment")
     v = vars_of(apply(encode_tuple([e1, e2]), env))
+    best = oracle_unify(env, e1, e2)
     return MgiuReport(
         unifier_ok=is_unifier(s, e1, e2),
         extension_ok=more_general(env, s),
-        most_general_ok=mgi_decide(env, e1, e2, s),
+        most_general_ok=_more_general_than(s, best),
         reduce_ok=reduce_holds(env, v, s),
-        oracle_used=oracle_unify(env, e1, e2),
+        oracle_used=best,
     )

@@ -8,7 +8,6 @@ non-growth of that set plus strict shrink of size(e1).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -158,43 +157,25 @@ def u_less(t1: InputTriple, t2: InputTriple) -> bool:
     return m1 <= m2 and size_of(t1.e1) < size_of(t2.e1)
 
 
-def parse_relspec(text: str) -> RelSpec:
-    """Parse the textual combinator form, e.g. (lex (range-vars) (size-first))."""
-    tokens = re.findall(r"\(|\)|[^\s()]+", text)
-    spec, rest = _parse_rel(tokens)
-    if rest:
-        raise ValueError(f"trailing tokens in relation spec: {rest}")
-    return spec
+def parse_relspec(datum) -> RelSpec:
+    """Build a RelSpec from its s-expression (see logic.read_sexp).
 
-
-def _parse_rel(tokens: list[str]) -> tuple[RelSpec, list[str]]:
-    if not tokens:
-        raise ValueError("empty relation spec")
-    tok = tokens[0]
-    if tok != "(":
-        if tok in _BASE_STRICT:
-            return Base(tok), tokens[1:]
-        raise ValueError(f"unknown relation {tok!r}")
-    head, rest = tokens[1], tokens[2:]
+    Grammar: a base name, `(base)`, `(lex r r ...)`,
+    `(induced <projection> r)` or `(reflexive r)`.
+    """
+    if isinstance(datum, str):
+        if datum in _BASE_STRICT:
+            return Base(datum)
+        raise ValueError(f"unknown relation {datum!r}")
+    if not datum or not isinstance(datum[0], str):
+        raise ValueError("expected a relation constructor after '('")
+    head, args = datum[0], datum[1:]
     if head == "lex":
-        parts = []
-        while rest and rest[0] != ")":
-            part, rest = _parse_rel(rest)
-            parts.append(part)
-        return Lex(tuple(parts)), _expect_close(rest)
-    if head == "induced":
-        projection = rest[0]
-        inner, rest = _parse_rel(rest[1:])
-        return InducedBy(projection, inner), _expect_close(rest)
-    if head == "reflexive":
-        inner, rest = _parse_rel(rest)
-        return ReflexiveClosure(inner), _expect_close(rest)
-    if head in _BASE_STRICT:
-        return Base(head), _expect_close(rest)
-    raise ValueError(f"unknown relation constructor {head!r}")
-
-
-def _expect_close(tokens: list[str]) -> list[str]:
-    if not tokens or tokens[0] != ")":
-        raise ValueError("expected ')' in relation spec")
-    return tokens[1:]
+        return Lex(tuple(parse_relspec(a) for a in args))
+    if head == "induced" and len(args) == 2 and isinstance(args[0], str):
+        return InducedBy(args[0], parse_relspec(args[1]))
+    if head == "reflexive" and len(args) == 1:
+        return ReflexiveClosure(parse_relspec(args[0]))
+    if head in _BASE_STRICT and not args:
+        return Base(head)
+    raise ValueError(f"malformed relation ({head} ...)")

@@ -88,6 +88,14 @@ def test_replay_step_failure_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_run_truncated_program_exit_code(capsys, tmp_path):
+    prog_file = tmp_path / "prog.sexp"
+    prog_file.write_text("(define (f a b")
+    assert main(["run", str(prog_file), "a", "b"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_search_smoke(capsys):
     code, out = run_cli(capsys, "search", "--max-rows", "200")
     assert code == 0

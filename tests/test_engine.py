@@ -60,6 +60,13 @@ def test_replay_step_failure(unify_theory):
     assert err.value.index == 2
 
 
+def test_replay_truncated_assume(unify_theory):
+    with pytest.raises(engine.StepFailedError) as err:
+        engine.replay(unify_theory, "unify", "assume (= (\nextract\n")
+    assert err.value.index == 1
+    assert isinstance(err.value.cause, L.FormulaSyntaxError)
+
+
 def test_replay_requires_extract(unify_theory):
     with pytest.raises(engine.EngineError):
         engine.replay(unify_theory, "unify", "induct u-rel\n")

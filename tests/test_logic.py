@@ -26,10 +26,13 @@ from tabsynth.logic import (
     parse_path,
     parse_term,
     print_formula,
+    read_sexp,
     replace_at,
     rename_metavars,
     term_unify,
 )
+
+from ground import ground_signature
 
 
 def sig_with_params():
@@ -86,6 +89,49 @@ def test_print_parse_round_trip():
     for text in texts:
         f = parse_formula(text)
         assert parse_formula(print_formula(f)) == f
+    sig = ground_signature()
+    ground = [
+        "(or (p) (not (q)))",
+        "(and true (or false (h c0)))",
+        "(implies (h (if (p) c0 c1)) (= X:expr (if (= c0 c1) (cons c1 X) c2)))",
+        "(iff (not (p)) (= (if (or (q) (h c2)) c0 c1) c0))",
+    ]
+    for text in ground:
+        f = parse_formula(text, sig)
+        assert print_formula(f) == text.replace(":expr", "")
+        assert parse_formula(print_formula(f), sig) == f
+    for text in ("(if (p) c0 (cons c1 c2))", "(if (not (h X:expr)) X c1)", "c2"):
+        t = parse_term(text, sig)
+        assert parse_term(print_formula(t), sig) == t
+
+
+def test_sort_inference_is_order_independent():
+    forward = parse_formula("(and (= A B) (= B C) (is-var C))")
+    backward = parse_formula("(and (is-var C) (= B C) (= A B))")
+    assert metavars_of(forward) == metavars_of(backward) == {
+        MetaVar(name, "expr") for name in "ABC"
+    }
+
+
+def test_read_sexp():
+    assert read_sexp(" (a (b c) () d) ") == ["a", ["b", "c"], [], "d"]
+    assert read_sexp("X:expr") == "X:expr"
+    for text in ("(", "(a (b)", ")", "(a))", "", "  ", "a b", "(a) (b)"):
+        with pytest.raises(FormulaSyntaxError):
+            read_sexp(text)
+    deep = read_sexp("(" * 100_000 + ")" * 100_000)  # no recursion while reading
+    for _ in range(99_999):
+        deep = deep[0]
+    assert deep == []
+
+
+def test_truncated_input_is_a_syntax_error():
+    for text in ("(", "(cons", "(cons X:expr", "(if (is-var X:expr) X"):
+        with pytest.raises(FormulaSyntaxError):
+            parse_term(text)
+    for text in ("(= (", "(and (idem TH:subst)", "(not"):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
 
 
 def test_apply_subst_formula():
@@ -150,7 +196,7 @@ def test_normalize_examples():
     p = Atom("is-proper", (MetaVar("TH", "subst"),))
     q = Atom("idem", (MetaVar("TH", "subst"),))
     assert normalize(Not(Not(p))) == p
-    assert normalize(Implies(p, q), expand_implies=True) == Or((Not(p), q))
+    assert normalize(Implies(p, q)) == Implies(p, q)
     assert normalize(And((p, TrueF()))) == p
     assert normalize(And((p, p))) == p
     assert normalize(Not(And((p, q)))) == Or((Not(p), Not(q)))
@@ -202,11 +248,10 @@ def test_normalize_preserves_truth():
     names = [p.pred for p in PROPS]
     for _ in range(300):
         f = random_prop(rng)
-        for expand in (False, True):
-            g = normalize(f, expand_implies=expand)
-            for bits in itertools.product([False, True], repeat=4):
-                assignment = dict(zip(names, bits))
-                assert prop_truth(f, assignment) == prop_truth(g, assignment)
+        g = normalize(f)
+        for bits in itertools.product([False, True], repeat=4):
+            assignment = dict(zip(names, bits))
+            assert prop_truth(f, assignment) == prop_truth(g, assignment)
 
 
 def test_paths():

@@ -195,6 +195,34 @@ def test_emit_round_trip(prog):
     assert emit(parse_program(text)) == text
 
 
+def test_truncated_program_text():
+    for text in ("(define", "(define (f a b", "(define (f a b) (cons a", "(define (f) a)"):
+        with pytest.raises(ProgramError):
+            parse_program(text)
+
+
+def test_every_prefix_parses_or_fails_cleanly():
+    """Every prefix of the golden program and of each lemma body either
+    parses or raises a parse error, never anything else."""
+    from tabsynth import engine
+
+    def sweep(parse, text):
+        for end in range(len(text)):
+            try:
+                parse(text[:end])
+            except (L.FormulaSyntaxError, L.SortError, ProgramError):
+                pass
+        parse(text)
+
+    sweep(parse_program, GOLDEN.read_text())
+    theory_text = GOLDEN.with_name("unify.thy").read_text()
+    sig = engine.load_theory(theory_text).signature
+    bodies = [e.split(None, 2)[2] for e in engine._entries(theory_text) if e.startswith("lemma")]
+    assert len(bodies) > 40
+    for body in bodies:
+        sweep(lambda text: L.parse_formula(text, sig), body)
+
+
 def test_eval_formula_ground():
     env = {}
     sig = L.default_signature()

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tabsynth.logic import read_sexp
 from tabsynth.subst import parse_subst
 from tabsynth.term import Const, Var, parse_expr, size_of, vars_of
 from tabsynth.wf import (
@@ -135,14 +136,16 @@ def test_weakly_decreasing_chains(rng):
 
 
 def test_parse_relspec():
-    assert parse_relspec("(lex (range-vars) (size-first))") == U_REL
-    assert parse_relspec("size-lt") == Base("size-lt")
-    assert parse_relspec("(reflexive (size-lt))") == ReflexiveClosure(Base("size-lt"))
-    assert parse_relspec("(induced vars-size (subset-int-lex))") == InducedBy(
+    assert parse_relspec(read_sexp("(lex (range-vars) (size-first))")) == U_REL
+    assert parse_relspec(read_sexp("size-lt")) == Base("size-lt")
+    assert parse_relspec(read_sexp("(reflexive (size-lt))")) == ReflexiveClosure(
+        Base("size-lt")
+    )
+    assert parse_relspec(read_sexp("(induced vars-size (subset-int-lex))")) == InducedBy(
         "vars-size", Base("subset-int-lex")
     )
     with pytest.raises(ValueError):
-        parse_relspec("(lex (size-lt))")
+        parse_relspec(read_sexp("(lex (size-lt))"))
 
 
 def test_rel_leq_is_measure_weak():
