@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: unify (run the reference algorithm), check-mgiu (verify a
+Subcommands: unify (run the derived program), check-mgiu (verify a
 candidate unifier), replay (execute a derivation script), search
 (bounded best-first derivation), run (run a program file), and
 selftest (exhaustive small-universe comparison against the oracle).
@@ -22,7 +22,7 @@ from . import engine, program as P
 from .logic import LogicError
 from .subst import BOT, EMPTY, SubstError, compose, is_proper, parse_subst, print_subst
 from .term import Cons, Const, ExprError, Var, parse_expr, print_expr
-from .unify import FuelExhaustedError, mgiu_check, oracle_unify, reference_unify
+from .unify import mgiu_check, oracle_unify, reference_unify
 from .tableau import TableauError
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (engine.StepFailedError, P.DecreaseViolationError, FuelExhaustedError) as exc:
+    except (engine.StepFailedError, P.DecreaseViolationError, P.FuelExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL
     except (

@@ -57,16 +57,18 @@ def load_theory(text: str) -> Theory:
     """Parse a theory file: lemma, wfrel and spec declarations."""
     theory = Theory()
     for entry in _entries(text):
-        kind, rest = entry.split(None, 1)
+        kind, *fields = entry.split(None, 2)
+        if kind in ("lemma", "wfrel") and len(fields) != 2:
+            raise EngineError(f"malformed theory entry {entry!r}")
         if kind == "lemma":
-            name, body = rest.split(None, 1)
+            name, body = fields
             theory.lemmas[name] = L.parse_formula(body, theory.signature)
         elif kind == "wfrel":
-            name, body = rest.split(None, 1)
+            name, body = fields
             theory.relations[name] = parse_relspec(L.read_sexp(body))
             theory.signature.add_constant(name, "rel")
         elif kind == "spec":
-            spec = _parse_spec(rest, theory.signature)
+            spec = _parse_spec(entry.split(None, 1)[1], theory.signature)
             theory.specs[spec.name] = spec
         else:
             raise EngineError(f"unknown theory entry {kind!r}")
@@ -176,29 +178,26 @@ def _run_command(tableau: Tableau, text: str) -> ProgramDef | None:
     parts = text.split()
     op, args = parts[0], parts[1:]
     if op == "assert":
-        tableau.add_assertion(name=_one(args, text))
+        tableau.add_assertion(name=_args(text, args, str)[0])
     elif op == "assume":
         formula_text, output_text = _split_output(text[len("assume") :])
         formula = L.parse_formula(formula_text, tableau.sig)
         output = L.parse_term(output_text, tableau.sig) if output_text else None
         tableau.add_assertion(formula=formula, output=output, assumption=True)
     elif op == "split":
-        tableau.split_row(int(_one(args, text)))
+        tableau.split_row(*_args(text, args, int))
     elif op == "dualize":
-        tableau.dualize(int(_one(args, text)))
+        tableau.dualize(*_args(text, args, int))
     elif op == "orphan":
-        tableau.drop_orphan_output(int(_one(args, text)))
+        tableau.drop_orphan_output(*_args(text, args, int))
     elif op == "induct":
-        tableau.insert_induction_hypothesis(_one(args, text))
+        tableau.insert_induction_hypothesis(*_args(text, args, str))
     elif op == "resolve":
-        r1, p1, r2, p2 = args
-        tableau.resolve(int(r1), p1, int(r2), p2)
+        tableau.resolve(*_args(text, args, int, str, int, str))
     elif op == "eqrepl":
-        r1, p1, r2, p2, direction = args
-        tableau.equality_replace(int(r1), p1, int(r2), p2, direction)
+        tableau.equality_replace(*_args(text, args, int, str, int, str, str))
     elif op == "iffrepl":
-        r1, p1, r2, p2, direction = args
-        tableau.equivalence_replace(int(r1), p1, int(r2), p2, direction)
+        tableau.equivalence_replace(*_args(text, args, int, str, int, str, str))
     elif op == "extract":
         program = tableau.extract_program()
         if program is None:
@@ -209,10 +208,14 @@ def _run_command(tableau: Tableau, text: str) -> ProgramDef | None:
     return None
 
 
-def _one(args: list[str], text: str) -> str:
-    if len(args) != 1:
-        raise EngineError(f"malformed command {text!r}")
-    return args[0]
+def _args(text: str, args: list[str], *kinds) -> list:
+    """The command's arguments, one per kind: int for a row id, str otherwise."""
+    try:
+        if len(args) != len(kinds):
+            raise ValueError
+        return [kind(arg) for kind, arg in zip(kinds, args)]
+    except ValueError:
+        raise EngineError(f"malformed command {text!r}") from None
 
 
 def _split_output(rest: str) -> tuple[str, str]:

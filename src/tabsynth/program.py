@@ -6,7 +6,7 @@ becomes a conditional expression, primitives are called strictly from
 by the caller.  `interpret` runs the compiled program over runtime
 values (expressions, substitutions, variable-name sets, integers);
 self-calls consume fuel, and can be checked for strict decrease under
-the unification measure.
+the relation the program records.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Callable, Sequence
 from . import logic as L
 from . import subst as S
 from . import term as T
+from . import wf
 from .logic import Apply, Atom, Cond, Eq, Formula, LTerm, MetaVar, Signature
 from .tableau import ProgramDef, nonprimitive_symbol
-from .unify import FuelExhaustedError
-from .wf import U_REL, InputTriple, u_less
 
 
 class ProgramError(Exception):
@@ -40,7 +39,12 @@ class PrimitiveError(ProgramError):
     pass
 
 
+class FuelExhaustedError(Exception):
+    """Recursion budget ran out (possible with a non-idempotent environment)."""
+
+
 Value = object  # Expr | Subst | frozenset[str] | int | bool | InputTriple
+_SUBSTS, _EXPRS = (S.Proper, S.Failure), (T.Const, T.Var, T.Cons)
 
 
 def interpret(
@@ -52,40 +56,48 @@ def interpret(
 ) -> Value:
     """Run p on the given argument values.
 
-    With check_decrease set (and a decrease relation recorded on p),
-    every self-call must be strictly smaller than its parent under the
-    unification measure.  `calls` collects (parent_args, child_args)
-    pairs when provided.
+    fuel bounds the number of self-calls.  With check_decrease set (and
+    a decrease relation recorded on p), every self-call must be strictly
+    smaller than its parent under that relation; each call's arguments
+    are measured once.  `calls` collects (parent_args, child_args) pairs
+    when provided.
     """
     if len(args) != len(p.params):
         raise ProgramError(f"{p.name} expects {len(p.params)} arguments")
     for value, (name, sort) in zip(args, p.params):
-        want = S.Proper if sort == "subst" else (T.Const, T.Var, T.Cons)
-        if sort == "subst" and isinstance(value, S.Failure):
-            continue
-        if not isinstance(value, want):
+        if not isinstance(value, _SUBSTS if sort == "subst" else _EXPRS):
             raise ProgramError(f"argument {name} is not of sort {sort}")
     fn = p.compiled
-    check = check_decrease and p.decrease is not None
+    measure = less = None
+    if check_decrease and p.decrease is not None:
+        if len(args) != 3:
+            raise ProgramError("decrease checking expects (env, e1, e2) arguments")
+        measure, less = wf.order(p.decrease)
 
-    def self_call(parent: list, child: list) -> Value:
-        nonlocal fuel
-        if calls is not None:
-            calls.append((parent, child))
-        if check and not u_less(_as_triple(child), _as_triple(parent)):
-            raise DecreaseViolationError(tuple(parent), tuple(child))
-        if fuel <= 0:
-            raise FuelExhaustedError(f"{p.name}: fuel exhausted")
-        fuel -= 1
-        return fn(self_call, *child)
+    def hook(measured):
+        # the self-call hook of a body whose arguments measure `measured`
+        def self_call(parent: list, child: list) -> list:
+            nonlocal fuel
+            if calls is not None:
+                calls.append((parent, child))
+            child_hook = self_call
+            if measure is not None:
+                child_measure = measure(wf.InputTriple(*child))
+                if not less(child_measure, measured):
+                    raise DecreaseViolationError(tuple(parent), tuple(child))
+                child_hook = hook(child_measure)
+            if fuel <= 0:
+                raise FuelExhaustedError(f"{p.name}: fuel exhausted")
+            fuel -= 1
+            return [child_hook, *child]
 
-    return _run(fn, self_call, *args)
+        return self_call
 
-
-def _as_triple(vals) -> InputTriple:
-    if len(vals) != 3:
-        raise ProgramError("decrease checking expects (env, e1, e2) arguments")
-    return InputTriple(vals[0], vals[1], vals[2])
+    top = measure(wf.InputTriple(*args)) if measure is not None else None
+    try:  # _run inline: one Python frame fewer under deep recursion
+        return fn(hook(top), *args)
+    except (T.ExprError, S.SubstError) as exc:
+        raise PrimitiveError(str(exc)) from exc
 
 
 def _run(fn: Callable, *args) -> Value:
@@ -123,8 +135,10 @@ def compile(p: ProgramDef) -> Callable:
     """Compile p to a Python function `f(_self, *args)`.
 
     A self-call with child arguments c in a call with arguments a runs
-    `_self([a...], [c...])`, fresh lists each time; the caller's hook
-    decides how to recurse.
+    `f(*_self([a...], [c...]))`, fresh lists each time: the caller's hook
+    keeps its accounts and returns the recursive call's arguments, the
+    hook for that call's own self-calls first.  The recursion itself
+    takes one Python frame per level.
     """
     gen = _Source([name for name, _ in p.params], p.name)
     return gen.function("_self", gen.term(p.body))
@@ -137,7 +151,7 @@ def _compile_formula(f: Formula, names: tuple[str, ...]) -> Callable:
     return gen.function("_rels", gen.formula(f))
 
 
-_RELATIONS = {"u-rel": U_REL}  # known to every formula unless a theory redefines it
+_RELATIONS = {"u-rel": wf.U_REL}  # known to every formula unless a theory redefines it
 
 
 def _relation(rels: dict, name: str):
@@ -161,7 +175,7 @@ class _Source:
     def function(self, hook: str, body: str) -> Callable:
         params = ", ".join([hook, *self.variables.values()])
         exec(f"def _body({params}):\n    return {body}\n", self.namespace)
-        return self.namespace.pop("_body")
+        return self.namespace["_body"]  # kept: a self-call names it
 
     def _bind(self, value: object) -> str:
         ident = f"_k{len(self.namespace)}"
@@ -183,7 +197,7 @@ class _Source:
         args = [self.term(a) for a in t.args]
         if t.fn == self.self_name:
             parent = ", ".join(self.variables.values())
-            return f"_self([{parent}], [{', '.join(args)}])"
+            return f"_body(*_self([{parent}], [{', '.join(args)}]))"
         if not args and t.fn in self.variables:
             return self.variables[t.fn]
         prim = L.PRIMITIVES.get(t.fn)
@@ -303,7 +317,7 @@ def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
     bad = nonprimitive_symbol(body, name, set(params))
     if bad is not None:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")
-    return ProgramDef(name, tuple(zip(params, sorts)), body, "u-rel")
+    return ProgramDef(name, tuple(zip(params, sorts)), body, wf.U_REL)
 
 
 def _default_param_sorts(params: list[str]) -> list[str]:

@@ -160,7 +160,7 @@ class ProgramDef:
     name: str
     params: tuple[tuple[str, str], ...]
     body: LTerm
-    decrease: str | None = None
+    decrease: RelSpec | None = None  # the relation self-calls decrease under
 
     @cached_property
     def compiled(self):
@@ -201,7 +201,7 @@ class Tableau:
         self.primitive_fns = primitive_fns
         self.primitive_preds = primitive_preds
         self.rows: list[Row] = []
-        self.decrease: str | None = None
+        self.decrease: RelSpec | None = None
         self._fresh = 0
         self._init()
 
@@ -432,7 +432,7 @@ class Tableau:
             sort = primed[0].sort
             self.sig = self.sig.copy()
             self.sig.predicates["wf-ordered"] = ("rel", sort, sort)
-        self.decrease = relname
+        self.decrease = self.relations[relname]
         return self._append(
             ASSERTION,
             normalize(Implies(wf, cond)),

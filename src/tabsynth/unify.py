@@ -1,17 +1,19 @@
 """Environment-carrying unification and its specification predicates.
 
-``reference_unify`` is the derived three-argument algorithm, transcribed
-as a fixed decision tree.  ``oracle_unify`` is an independent textbook
-algorithm used to cross-check it and to decide the most-general
-idempotence relation.
+``reference_unify`` runs the bundled program derived by the tableau
+(``data/unify_program.golden``).  ``oracle_unify`` is an independent
+textbook algorithm used to cross-check it and to decide the
+most-general idempotence relation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from importlib import resources
 from typing import Optional
 
-from .term import Cons, Expr, Var, encode_tuple, is_const, is_var, occurs_in, vars_of
+from .term import Cons, Expr, Var, encode_tuple, vars_of
 from .subst import (
     BOT,
     Subst,
@@ -20,64 +22,33 @@ from .subst import (
     is_idempotent,
     is_proper,
     make_subst,
-    misses,
     more_general,
     range_of,
-    replacement,
 )
-
-
-class FuelExhaustedError(Exception):
-    """Recursion budget ran out (possible with a non-idempotent environment)."""
 
 
 def reference_unify(env: Subst, e1: Expr, e2: Expr, fuel: int = 10000) -> Subst:
     """Unify e1 and e2 as an extension of env, or return bot.
 
-    The test order is fixed: properness of the environment, occurs
-    check, equality, the constant cases, the variable cases (replacement
-    or recursion on environment instances), then the nested recursion on
-    components.  fuel bounds the total number of calls; only a
-    non-idempotent environment can exhaust it.
+    Runs the derived program.  fuel bounds its self-calls; only a
+    non-idempotent environment can exhaust it (program.FuelExhaustedError).
     """
-    cell = [fuel]
-    return _unify(env, e1, e2, cell)
+    program, golden = _golden()
+    return program.interpret(golden, [env, e1, e2], fuel)
 
 
-def _unify(env: Subst, e1: Expr, e2: Expr, fuel: list[int]) -> Subst:
-    if fuel[0] <= 0:
-        raise FuelExhaustedError("unification did not terminate within fuel")
-    fuel[0] -= 1
-    if not is_proper(env):
-        return BOT
-    if occurs_in(e1, e2, "proper"):
-        return BOT
-    if e1 == e2:
-        return env
-    if is_const(e1):
-        if is_const(e2):
-            return BOT
-        if is_var(e2):
-            return _unify(env, e2, e1, fuel)
-        return BOT
-    if is_var(e1):
-        assert isinstance(e1, Var)
-        if misses(env, e2):
-            if misses(env, e1):
-                return compose(env, replacement(e1.name, e2))
-            return _unify(env, apply(e1, env), apply(e2, env), fuel)
-        return _unify(env, apply(e1, env), apply(e2, env), fuel)
-    if is_const(e2):
-        return BOT
-    if is_var(e2):
-        return _unify(env, e2, e1, fuel)
-    assert isinstance(e1, Cons) and isinstance(e2, Cons)
-    return _unify(_unify(env, e1.left, e2.left, fuel), e1.right, e2.right, fuel)
+@functools.cache
+def _golden():
+    # loaded on first use: program imports logic, which imports this module
+    from . import program
+
+    text = resources.files("tabsynth.data").joinpath("unify_program.golden").read_text()
+    return program, program.parse_program(text)
 
 
 def _dapply(e: Expr, sol: dict[str, Expr]) -> Expr:
     # local substitution application so the oracle shares no logic with
-    # reference_unify beyond the data types
+    # the derived program beyond the data types
     if isinstance(e, Var):
         return sol.get(e.name, e)
     if isinstance(e, Cons):

@@ -1,17 +1,23 @@
 """Well-founded relation combinators and the unification measure.
 
-Relations are combinator trees evaluated by rel_less.  The measure used
-by the derived algorithm compares input triples (environment, e1, e2)
-lexicographically: strict shrink of range(env) | vars(e1, e2), else
-non-growth of that set plus strict shrink of size(e1).
+Relations are combinator trees.  `order` turns one into a measure of a
+value and a strict order on measures, so a caller that compares one
+value many times measures it once; `rel_less` is the two together.  The
+relation of the derived algorithm, U_REL, compares input triples
+(environment, e1, e2) lexicographically: strict shrink of
+range(env) | vars(e1, e2), else non-growth of that set plus strict
+shrink of size(e1).  Its order is also stated by hand (u_measure,
+u_less), and the decrease check of the derived program runs that form.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from .term import Expr, encode_tuple, size_of, vars_of
+from .term import Expr, size_of, vars_of
 from .subst import Subst, range_of
 
 
@@ -27,7 +33,7 @@ class InputTriple:
 
 
 def _triple_measure(t: InputTriple) -> frozenset[str]:
-    return range_of(t.env) | vars_of(encode_tuple([t.e1, t.e2]))
+    return range_of(t.env) | vars_of(t.e1) | vars_of(t.e2)
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,7 @@ class Base:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _BASE_STRICT:
+        if self.kind not in _MEASURES:
             raise ValueError(f"unknown base relation {self.kind!r}")
 
 
@@ -78,22 +84,14 @@ def _expr_pair(value) -> tuple:
     return value
 
 
-_BASE_STRICT = {
-    "size-lt": lambda a, b: size_of(a) < size_of(b),
-    "vars-strict-subset": lambda a, b: vars_of(a) < vars_of(b),
-    "subset-int-lex": lambda a, b: _expr_pair(a)[0] < _expr_pair(b)[0]
-    or (_expr_pair(a)[0] == _expr_pair(b)[0] and _expr_pair(a)[1] < _expr_pair(b)[1]),
-    "range-vars": lambda a, b: _triple_measure(a) < _triple_measure(b),
-    "size-first": lambda a, b: size_of(a.e1) < size_of(b.e1),
-}
-
-# reflexive (weak) companions, taken on the measure each base compares
-_BASE_WEAK = {
-    "size-lt": lambda a, b: size_of(a) <= size_of(b),
-    "vars-strict-subset": lambda a, b: vars_of(a) <= vars_of(b),
-    "subset-int-lex": lambda a, b: _BASE_STRICT["subset-int-lex"](a, b) or a == b,
-    "range-vars": lambda a, b: _triple_measure(a) <= _triple_measure(b),
-    "size-first": lambda a, b: size_of(a.e1) <= size_of(b.e1),
+# each base relation is `<` on its measure: on ints, frozensets (subset) and
+# (frozenset, int) pairs (lexicographic)
+_MEASURES = {
+    "size-lt": size_of,
+    "vars-strict-subset": vars_of,
+    "subset-int-lex": _expr_pair,
+    "range-vars": _triple_measure,
+    "size-first": lambda t: size_of(t.e1),
 }
 
 _PROJECTIONS = {
@@ -108,53 +106,64 @@ _PROJECTIONS = {
 
 def rel_less(spec: RelSpec, a, b) -> bool:
     """Strict comparison under the combinator tree."""
+    measure, less = order(spec)
     try:
-        return _strict(spec, a, b)
+        return less(measure(a), measure(b))
     except (AttributeError, TypeError) as exc:
         raise SortMismatchError(str(exc)) from exc
 
 
-def rel_leq(spec: RelSpec, a, b) -> bool:
-    """Reflexive companion of rel_less (measure-level for base relations)."""
-    try:
-        return _weak(spec, a, b)
-    except (AttributeError, TypeError) as exc:
-        raise SortMismatchError(str(exc)) from exc
+def order(spec: RelSpec) -> tuple[Callable, Callable]:
+    """(measure, less) with rel_less(spec, a, b) == less(measure(a), measure(b)).
+
+    U_REL's is stated by hand; every other relation's is built from its parts.
+    """
+    if spec == U_REL:
+        return u_measure, u_less
+    return _order(spec)
 
 
-def _strict(spec: RelSpec, a, b) -> bool:
+@functools.cache
+def _order(spec: RelSpec) -> tuple[Callable, Callable]:
+    # a reflexive closure keeps the value for its value equality; a Lex
+    # measures each part only once the comparison reaches it
     if isinstance(spec, Base):
-        return _BASE_STRICT[spec.kind](a, b)
+        return _MEASURES[spec.kind], operator.lt
     if isinstance(spec, InducedBy):
-        g = _PROJECTIONS[spec.projection]
-        return _strict(spec.inner, g(a), g(b))
+        measure, strict = _order(spec.inner)
+        project = _PROJECTIONS[spec.projection]
+        return (lambda v: measure(project(v))), strict
     if isinstance(spec, ReflexiveClosure):
-        return _strict(spec.inner, a, b) or a == b
-    first, rest = spec.parts[0], spec.parts[1:]
-    tail: RelSpec = rest[0] if len(rest) == 1 else Lex(rest)
-    return _strict(first, a, b) or (_weak(first, a, b) and _strict(tail, a, b))
+        measure, strict = _order(spec.inner)
+        return (lambda v: (measure(v), v)), (
+            lambda a, b: strict(a[0], b[0]) or a[1] == b[1]
+        )
+    parts = [_order(part) for part in spec.parts]
 
+    def lex(a, b) -> bool:
+        # the first part whose measures differ decides
+        for measure, strict in parts:
+            x, y = measure(a), measure(b)
+            if strict(x, y):
+                return True
+            if x != y:
+                return False
+        return False
 
-def _weak(spec: RelSpec, a, b) -> bool:
-    if isinstance(spec, Base):
-        return _BASE_WEAK[spec.kind](a, b)
-    if isinstance(spec, InducedBy):
-        g = _PROJECTIONS[spec.projection]
-        return _weak(spec.inner, g(a), g(b))
-    if isinstance(spec, ReflexiveClosure):
-        return _strict(spec, a, b) or a == b
-    return _strict(spec, a, b) or a == b
+    return (lambda v: v), lex
 
 
 U_REL = Lex((Base("range-vars"), Base("size-first")))
 
 
-def u_less(t1: InputTriple, t2: InputTriple) -> bool:
-    """The unification measure on input triples."""
-    m1, m2 = _triple_measure(t1), _triple_measure(t2)
-    if m1 < m2:
-        return True
-    return m1 <= m2 and size_of(t1.e1) < size_of(t2.e1)
+def u_measure(t: InputTriple) -> tuple[frozenset[str], int]:
+    """U_REL's measure of an input triple: range(env) | vars(e1, e2), size(e1)."""
+    return _triple_measure(t), size_of(t.e1)
+
+
+def u_less(m1: tuple[frozenset[str], int], m2: tuple[frozenset[str], int]) -> bool:
+    """U_REL on u_measure values: the set shrinks, or stays and size(e1) shrinks."""
+    return m1[0] < m2[0] or (m1[0] == m2[0] and m1[1] < m2[1])
 
 
 def parse_relspec(datum) -> RelSpec:
@@ -164,7 +173,7 @@ def parse_relspec(datum) -> RelSpec:
     `(induced <projection> r)` or `(reflexive r)`.
     """
     if isinstance(datum, str):
-        if datum in _BASE_STRICT:
+        if datum in _MEASURES:
             return Base(datum)
         raise ValueError(f"unknown relation {datum!r}")
     if not datum or not isinstance(datum[0], str):
@@ -176,6 +185,6 @@ def parse_relspec(datum) -> RelSpec:
         return InducedBy(args[0], parse_relspec(args[1]))
     if head == "reflexive" and len(args) == 1:
         return ReflexiveClosure(parse_relspec(args[0]))
-    if head in _BASE_STRICT and not args:
+    if head in _MEASURES and not args:
         return Base(head)
     raise ValueError(f"malformed relation ({head} ...)")

@@ -1,9 +1,9 @@
 """Independent oracles the tests use to check product behaviour.
 
 Each one decides a property by a different route than the code under
-test: refuting most-general idempotence with sampled unifiers, probing a
-relation for strictness on sampled pairs, and weak generality by
-matching.
+test: the derived unification algorithm transcribed by hand, refuting
+most-general idempotence with sampled unifiers, probing a relation for
+strictness on sampled pairs, and weak generality by matching.
 """
 
 from __future__ import annotations
@@ -11,10 +11,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from tabsynth.subst import Proper, Subst, apply, compose, dom_of, make_subst, more_general
-from tabsynth.term import Cons, Const, Expr, Var, is_atom
+from tabsynth.subst import (
+    BOT,
+    Proper,
+    Subst,
+    apply,
+    compose,
+    dom_of,
+    is_proper,
+    make_subst,
+    misses,
+    more_general,
+    replacement,
+)
+from tabsynth.term import Cons, Const, Expr, Var, is_atom, is_const, is_var, occurs_in
 from tabsynth.unify import is_unifier
 from tabsynth.wf import RelSpec, rel_less
+
+
+def transcribed_unify(env: Subst, e1: Expr, e2: Expr) -> Subst:
+    """The derived program's decision tree, transcribed by hand.
+
+    The test order is fixed: properness of the environment, occurs
+    check, equality, the constant cases, the variable cases (replacement
+    or recursion on environment instances), then the nested recursion on
+    components.  Terminates for an idempotent environment.
+    """
+    if not is_proper(env):
+        return BOT
+    if occurs_in(e1, e2, "proper"):
+        return BOT
+    if e1 == e2:
+        return env
+    if is_const(e1):
+        if is_const(e2):
+            return BOT
+        if is_var(e2):
+            return transcribed_unify(env, e2, e1)
+        return BOT
+    if is_var(e1):
+        if misses(env, e2) and misses(env, e1):
+            return compose(env, replacement(e1.name, e2))
+        return transcribed_unify(env, apply(e1, env), apply(e2, env))
+    if is_const(e2):
+        return BOT
+    if is_var(e2):
+        return transcribed_unify(env, e2, e1)
+    return transcribed_unify(
+        transcribed_unify(env, e1.left, e2.left), e1.right, e2.right
+    )
 
 
 def mgi_refute_witness(

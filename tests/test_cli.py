@@ -148,3 +148,31 @@ def test_unexpected_exception_exit_code(capsys):
         deep = f"({deep} . c)"
     assert main(["unify", "X", deep]) == 3
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_fuel_counts_self_calls_on_unify_and_run(capsys):
+    # unifying (a . X) with (a . b) makes two self-calls
+    triple = ["{}", "(a . X)", "(a . b)"]
+    for fuel, code in (("2", 0), ("1", 3)):
+        assert main(["unify", "--env", *triple, "--fuel", fuel]) == code
+        golden = "builtin:unify_program.golden"
+        assert main(["run", golden, *triple, "--fuel", fuel]) == code
+    capsys.readouterr()
+
+
+def test_unify_left_nested_depth_300(capsys):
+    deep = "Z"
+    for _ in range(300):
+        deep = f"({deep} . c)"
+    assert main(["unify", "X", deep]) == 0
+
+
+def test_malformed_inputs_name_the_entry(capsys, tmp_path):
+    theory = tmp_path / "bad.thy"
+    theory.write_text("lemma\n(x)\n")
+    assert main(["search", "--theory", str(theory)]) == 2
+    assert capsys.readouterr().err == "error: malformed theory entry 'lemma (x)'\n"
+    script = tmp_path / "bad.derivation"
+    script.write_text("resolve 1 a 2\nextract\n")
+    assert main(["replay", str(script)]) == 3
+    assert "malformed command 'resolve 1 a 2'" in capsys.readouterr().err

@@ -191,3 +191,30 @@ def test_replay_trace_lists_every_row(unify_theory, derivation):
     tableau, _ = engine.replay(unify_theory, "unify", derivation, trace=lines.append)
     assert len(lines) == len(tableau.rows)
     assert lines[0].startswith("#1 [G]")
+
+
+def test_malformed_theory_entry_is_named():
+    # `lemma` alone on a line joins the next line's body as its name
+    for text in ("lemma\n(x)\n", "wfrel\n(size-lt)\n"):
+        with pytest.raises(engine.EngineError, match="malformed theory entry"):
+            engine.load_theory(text)
+    with pytest.raises(engine.EngineError, match="unknown theory entry '\\(x\\)'"):
+        engine.load_theory("(x)\n")
+
+
+def test_malformed_script_command_is_named(unify_theory):
+    commands = (
+        "resolve 1 a 2",
+        "resolve x a 2 b",
+        "eqrepl 1 a 2 b",
+        "iffrepl 1 a 2 b c d",
+        "split x",
+        "dualize",
+        "orphan 1 2",
+        "assert",
+        "induct",
+    )
+    for command in commands:
+        with pytest.raises(engine.StepFailedError, match="malformed command") as err:
+            engine.replay(unify_theory, "unify", f"{command}\nextract\n")
+        assert err.value.index == 1

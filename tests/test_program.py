@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from tabsynth import logic as L
+from tabsynth import wf
 from tabsynth.logic import Apply, Atom, Cond
 from tabsynth.program import (
     DecreaseViolationError,
@@ -17,9 +19,10 @@ from tabsynth.program import (
 )
 from tabsynth.subst import BOT, EMPTY, parse_subst
 from tabsynth.term import parse_expr, size_of
-from tabsynth.unify import reference_unify
+from tabsynth.wf import U_REL, Base, u_measure
 
 from genlib import rand_expr, rand_idempotent_env
+from oracles import transcribed_unify
 
 import pathlib
 
@@ -74,7 +77,7 @@ def test_fuel_accounting(prog):
     assert max(counts) > 2
     for args, n in zip(triples, counts):
         calls = []
-        assert interpret(prog, args, fuel=n, calls=calls) == reference_unify(*args)
+        assert interpret(prog, args, fuel=n, calls=calls) == transcribed_unify(*args)
         assert len(calls) == n
         if n:
             with pytest.raises(FuelExhaustedError):
@@ -137,10 +140,38 @@ def test_decrease_violation_surfaces():
         "loop",
         (("th0", "subst"), ("e1", "expr"), ("e2", "expr")),
         body,
-        "u-rel",
+        U_REL,
     )
     with pytest.raises(DecreaseViolationError):
         interpret(bad, [EMPTY, parse_expr("X"), parse_expr("a")], check_decrease=True)
+
+
+def test_decrease_check_reads_the_recorded_relation(prog):
+    args = [EMPTY, parse_expr("a"), parse_expr("X")]
+    assert prog.decrease == U_REL
+    assert interpret(prog, args, check_decrease=True) == parse_subst("{X -> a}")
+    # the swap keeps range(env) | vars(e1, e2); only size(e1) falls
+    weaker = dataclasses.replace(prog, decrease=Base("range-vars"))
+    with pytest.raises(DecreaseViolationError) as err:
+        interpret(weaker, args, check_decrease=True)
+    assert err.value.child == (EMPTY, parse_expr("X"), parse_expr("a"))
+
+
+def test_checked_run_measures_each_call_once(prog, monkeypatch):
+    measured = []
+
+    def counting(triple):
+        measured.append(triple)
+        return u_measure(triple)
+
+    monkeypatch.setattr(wf, "u_measure", counting)
+    rng = random.Random(4)
+    for _ in range(50):
+        args = [rand_idempotent_env(rng), rand_expr(rng, 3), rand_expr(rng, 3)]
+        calls = []
+        measured.clear()
+        interpret(prog, args, check_decrease=True, calls=calls)
+        assert len(measured) == len(calls) + 1
 
 
 def test_extensional_equality_sampled(prog):
@@ -148,7 +179,7 @@ def test_extensional_equality_sampled(prog):
     for _ in range(500):
         env = rand_idempotent_env(rng)
         e1, e2 = rand_expr(rng, 3), rand_expr(rng, 3)
-        assert interpret(prog, [env, e1, e2]) == reference_unify(env, e1, e2)
+        assert interpret(prog, [env, e1, e2]) == transcribed_unify(env, e1, e2)
 
 
 def test_swap_calls_shrink_first_argument(prog):

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "tabsynth"
 # disappears fails the test, so the list stays current
 ALLOWED = {
     "program.eval_formula": "the formula form of the compiled executor, kept on purpose",
-    "wf.rel_leq": "reflexive companion of rel_less, whether to keep it is still open",
 }
 
 

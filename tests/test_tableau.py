@@ -306,7 +306,7 @@ def test_induction_hypothesis_shape():
         tab.sig,
     )
     assert equal_up_to_renaming(row.formula, want)
-    assert tab.decrease == "u-rel"
+    assert tab.decrease == tab.relations["u-rel"]
 
 
 def test_induction_single_input():

@@ -12,9 +12,9 @@ from tabsynth.subst import (
     is_proper,
     parse_subst,
 )
+from tabsynth.program import FuelExhaustedError
 from tabsynth.term import parse_expr
 from tabsynth.unify import (
-    FuelExhaustedError,
     MgiuReport,
     is_unifier,
     mgi_decide,
