@@ -339,20 +339,101 @@ def _formula_weight(f: L.Formula, config: SearchConfig) -> int:
     return total
 
 
-def _selected_paths(row: Row) -> list[tuple[str, L.Formula]]:
-    """Atom occurrences eligible for boxing: precedence-maximal predicates."""
-    occs = [(path, atom) for path, atom in L.atom_paths(row.formula)]
-    if not occs:
-        return []
+def _pred(atom: L.Formula) -> str:
+    return atom.pred if isinstance(atom, L.Atom) else "="
 
-    def key(atom) -> int:
-        name = atom.pred if isinstance(atom, L.Atom) else "="
-        return _RANK.get(name, -1)
 
-    best = max(key(a) for _, a in occs)
-    return [
-        (".".join(map(str, p)) or "-", a) for p, a in occs if key(a) == best
-    ]
+def _clash(a: L.Node, b: L.Node) -> bool:
+    """Whether a and b cannot unify, judged by their own and their children's tops.
+
+    A child that is a MetaVar is skipped; any other keeps its node type,
+    function symbol and arity under every meta-substitution.
+    """
+    if type(a) is not type(b) or (isinstance(a, L.Atom) and a.pred != b.pred):
+        return True
+    ka, kb = L.children(a), L.children(b)
+    if len(ka) != len(kb):
+        return True
+    for s, t in zip(ka, kb):
+        if isinstance(s, L.MetaVar) or isinstance(t, L.MetaVar):
+            continue
+        if type(s) is not type(t):
+            return True
+        if isinstance(s, L.Apply) and (s.fn != t.fn or len(s.args) != len(t.args)):
+            return True
+        if isinstance(s, L.Literal) and s != t:
+            return True
+    return False
+
+
+class _KeptRows:
+    """What the search reuses about its kept rows, keyed by rid.
+
+    Only rows already in the passive queue or the active list are entered.
+    Tableau.truncate gives a dropped row's rid to the next row made, so an
+    entry for a row of the batch being tried could later describe another.
+    """
+
+    def __init__(self, tableau: Tableau):
+        self.tableau = tableau
+        self._occurrences: dict[int, tuple[list, list]] = {}
+        self._atoms: dict[tuple[int, str], L.Formula] = {}
+        self._dead: dict[tuple[int, str, L.Formula], bool] = {}
+
+    def occurrences(self, row: Row) -> tuple[list, list]:
+        """The row's atom occurrences as (path text, atom): selected, and all.
+
+        Selection boxes only atoms whose predicate is precedence-maximal
+        within the row.
+        """
+        if row.rid not in self._occurrences:
+            occs = [
+                (".".join(map(str, p)) or "-", a) for p, a in L.atom_paths(row.formula)
+            ]
+            ranks = [_RANK.get(_pred(a), -1) for _, a in occs]
+            best = max(ranks, default=None)
+            own = [occ for occ, rank in zip(occs, ranks) if rank == best]
+            self._occurrences[row.rid] = (own, occs)
+            self._atoms.update(((row.rid, path), atom) for path, atom in occs)
+        return self._occurrences[row.rid]
+
+    def dead(self, rid: int, path: str, constant: L.Formula) -> bool:
+        """Whether row rid, with constant put at path, is vacuous as a side.
+
+        It is when that normalizes to false in a goal or true in an
+        assertion.  A meta-substitution only adds equal sides, never removes
+        a constant, so the side stays vacuous under every unifier.
+        """
+        key = (rid, path, constant)
+        if key not in self._dead:
+            row = self.tableau.row(rid)
+            f = L.normalize(L.replace_at(row.formula, L.parse_path(path), constant))
+            self._dead[key] = isinstance(f, L.FalseF if row.kind == GOAL else L.TrueF)
+        return self._dead[key]
+
+    def doomed(self, move: tuple) -> bool:
+        """Whether a move can only fail to unify or make a vacuous row.
+
+        Row 1's occurrence is put true and row 2's false, so a resolve move
+        is doomed when its atoms clash or either side is dead; an iffrepl
+        move when the iff side clashes with the target atom or the iff row
+        is dead.
+        """
+        if move[0] == "resolve":
+            _, rid1, path1, rid2, path2 = move
+            return (
+                _clash(self._atoms[rid1, path1], self._atoms[rid2, path2])
+                or self.dead(rid1, path1, L.TRUE)
+                or self.dead(rid2, path2, L.FALSE)
+            )
+        if move[0] == "iffrepl":
+            _, rid1, _, rid2, path2, direction = move
+            iff = self.tableau.row(rid1).formula
+            side = iff.lhs if direction == "ltr" else iff.rhs
+            return _clash(side, self._atoms[rid2, path2]) or self.dead(
+                rid1, "-", L.FALSE
+            )
+        return False
 
 
 def _canonical_key(row: Row) -> tuple:
@@ -380,6 +461,14 @@ def search(
     application pairing it with the already-active rows.  Pair moves
     require one side to descend from the goal (set of support); vacuous
     and duplicate results are discarded.
+
+    A resolve or iffrepl move whose outcome is known beforehand is never
+    tried, so nothing is renamed apart or unified for it (_KeptRows.doomed):
+    its two atoms, or the iff side and the target atom, clash in a node
+    type, predicate or function symbol; or one side is dead, that is, the
+    row with its occurrence put true (row 1) or false (row 2) normalizes to
+    false in a goal or true in an assertion, which makes every result
+    vacuous.  Only the counter of fresh names differs from trying them.
     """
     tableau = make_tableau(theory, spec_name)
     supported = {tableau.rows[0].rid}
@@ -391,6 +480,7 @@ def search(
     # the theory's lemmas are usable from the start; only derived rows
     # (and the initial goal) wait in the passive queue
     active: list[Row] = [r for r in tableau.rows if r.just.rule == "assert"]
+    kept = _KeptRows(tableau)
 
     def enqueue(row: Row) -> None:
         weight = _formula_weight(row.formula, config)
@@ -402,20 +492,15 @@ def search(
             yield ("orphan", row.rid)
         # literal selection restricts the activated row; the partner row
         # may be boxed at any atom occurrence
-        own = _selected_paths(row)
+        own, _ = kept.occurrences(row)
         for other in active:
             if other.rid == row.rid:
                 continue
             if not (row.rid in supported or other.rid in supported):
                 continue
-            partner = [
-                (".".join(map(str, p)) or "-", a)
-                for p, a in L.atom_paths(other.formula)
-            ]
+            _, partner = kept.occurrences(other)
             for (path1, a1), (path2, a2) in itertools.product(own, partner):
-                n1 = a1.pred if isinstance(a1, L.Atom) else "="
-                n2 = a2.pred if isinstance(a2, L.Atom) else "="
-                if n1 == n2:
+                if _pred(a1) == _pred(a2):
                     yield ("resolve", row.rid, path1, other.rid, path2)
                     yield ("resolve", other.rid, path2, row.rid, path1)
             if isinstance(other.formula, L.Iff):
@@ -439,6 +524,8 @@ def search(
         for move in list(moves_for(row)):
             if len(tableau.rows) >= config.max_rows:
                 break
+            if kept.doomed(move):
+                continue
             before = len(tableau.rows)
             try:
                 if move[0] == "split":

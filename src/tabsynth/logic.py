@@ -641,7 +641,7 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
             return bind(x, y)
         if isinstance(y, MetaVar):
             return bind(y, x)
-        if type(x) is not type(y):
+        if type(x) is not type(y) or isinstance(x, Literal):  # x != y
             return False
         if isinstance(x, Atom) and x.pred != y.pred:
             return False

@@ -67,6 +67,14 @@ class NotOrphanError(TableauError):
     pass
 
 
+class StandardizeApartError(RuntimeError):
+    """Two rows share a metavariable after renaming one apart.
+
+    This is a defect, not a failed rule: it is no TableauError, so a search
+    does not take it for a move that did not apply.
+    """
+
+
 ASSERTION = "assertion"
 GOAL = "goal"
 
@@ -136,6 +144,14 @@ class Row:
     formula: Formula
     output: LTerm | None
     just: Justification
+
+    @cached_property
+    def metavar_names(self) -> frozenset[str]:
+        """The names of the metavars in the formula and the output."""
+        names = {mv.name for mv in L.metavars_of(self.formula)}
+        if self.output is not None:
+            names |= {mv.name for mv in L.metavars_of(self.output)}
+        return frozenset(names)
 
     def is_final(self) -> bool:
         if self.output is None:
@@ -228,7 +244,12 @@ class Tableau:
         return self.rows[rid - 1]
 
     def truncate(self, length: int) -> None:
-        """Drop rows from the end (used by search to discard dead ends)."""
+        """Drop rows from the end (used by search to discard dead ends).
+
+        Row ids are positions, so the next row added takes the rid of the
+        first row dropped: anything keyed by the rid of a dropped row then
+        describes a different row.
+        """
         if length < 1 or length > len(self.rows):
             raise TableauError("bad truncation length")
         del self.rows[length:]
@@ -240,20 +261,26 @@ class Tableau:
 
     # -- fresh renaming (standardize apart) ---------------------------
 
-    def _rename_apart(self, *nodes):
-        """Fresh-rename every metavar occurring in the given nodes."""
-        names = set()
-        for node in nodes:
-            if node is not None:
-                names |= {mv.name for mv in L.metavars_of(node)}
+    def _rename_apart(self, row1: Row, row2: Row):
+        """Row 2's formula and output with every metavar fresh-renamed.
+
+        Raises StandardizeApartError when a fresh name is one of row 1's.
+        """
         mapping = {}
-        for name in sorted(names):
+        for name in sorted(row2.metavar_names):
             self._fresh += 1
             mapping[name] = f"{name.split('#', 1)[0]}#{self._fresh}"
-        return [
-            None if node is None else L.rename_metavars(node, mapping)
-            for node in nodes
-        ]
+        shared = row1.metavar_names.intersection(mapping.values())
+        if shared:
+            raise StandardizeApartError(
+                f"rows {row1.rid} and {row2.rid} share {sorted(shared)} "
+                "after standardizing apart"
+            )
+        out = row2.output
+        return (
+            L.rename_metavars(row2.formula, mapping),
+            None if out is None else L.rename_metavars(out, mapping),
+        )
 
     # -- row-entry operations ------------------------------------------
 
@@ -323,11 +350,7 @@ class Tableau:
         same orientation.
         """
         row1, row2 = self.row(rid1), self.row(rid2)
-        f2, out2 = self._rename_apart(row2.formula, row2.output)
-        assert not (
-            {mv.name for mv in L.metavars_of(row1.formula)}
-            & {mv.name for mv in L.metavars_of(f2)}
-        ), "rows share metavars after standardizing apart"
+        f2, out2 = self._rename_apart(row1, row2)
         p1, p2 = L.parse_path(path1), L.parse_path(path2)
         occ1 = self._formula_at(row1.formula, p1)
         occ2 = self._formula_at(f2, p2)
@@ -371,11 +394,7 @@ class Tableau:
         eqnode = L.get_at(row1.formula, p1)
         if not isinstance(eqnode, node_type):
             raise BadPathError(f"row {rid1} at {path1} is not {node_type.__name__}")
-        f2, out2 = self._rename_apart(row2.formula, row2.output)
-        assert not (
-            {mv.name for mv in L.metavars_of(row1.formula)}
-            & {mv.name for mv in L.metavars_of(f2)}
-        ), "rows share metavars after standardizing apart"
+        f2, out2 = self._rename_apart(row1, row2)
         target = L.get_at(f2, p2)
         if node_type is Eq and not isinstance(target, (MetaVar, Apply, Cond, L.Literal)):
             raise BadPathError("equality replacement needs a term occurrence")

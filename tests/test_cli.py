@@ -176,3 +176,14 @@ def test_malformed_inputs_name_the_entry(capsys, tmp_path):
     script.write_text("resolve 1 a 2\nextract\n")
     assert main(["replay", str(script)]) == 3
     assert "malformed command 'resolve 1 a 2'" in capsys.readouterr().err
+
+
+def test_rows_sharing_a_name_after_renaming_exit_3(capsys, tmp_path):
+    theory = tmp_path / "clash.thy"
+    theory.write_text(
+        "spec pick (a1:expr) output TH:expr (= a1 TH)\nlemma fixed (= a1 TH#1:expr)\n"
+    )
+    script = tmp_path / "clash.derivation"
+    script.write_text("assert fixed\nresolve 2 - 1 -\nextract\n")
+    assert main(["replay", str(script), "--theory", str(theory)]) == 3
+    assert "StandardizeApartError" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import pathlib
 
 import pytest
@@ -6,6 +8,7 @@ from tabsynth import engine
 from tabsynth import logic as L
 from tabsynth import program as P
 from tabsynth.logic import MetaVar
+from tabsynth.tableau import ASSERTION, NotUnifiableError, Tableau
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
 
@@ -218,3 +221,111 @@ def test_malformed_script_command_is_named(unify_theory):
         with pytest.raises(engine.StepFailedError, match="malformed command") as err:
             engine.replay(unify_theory, "unify", f"{command}\nextract\n")
         assert err.value.index == 1
+
+
+# -- moves the search never tries ---------------------------------------------
+
+# (_canonical_key, rule, parents, paths) of every row of the 300-row
+# full-theory search, as the search made them before it skipped any move
+FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
+
+
+def _search_watched(monkeypatch, thy, spec, rows):
+    """Run a search; return its result, its tableau, the moves it skipped,
+    and the number of calls of each pair rule."""
+    theory = engine.load_theory((DATA / thy).read_text())
+    tableaux, skipped = [], []
+    calls = {"resolve": 0, "equivalence_replace": 0}
+    make, doomed = engine.make_tableau, engine._KeptRows.doomed
+
+    def make_and_keep(*args):
+        tableaux.append(make(*args))
+        return tableaux[-1]
+
+    def doomed_and_noted(self, move):
+        out = doomed(self, move)
+        if out:
+            skipped.append(move)
+        return out
+
+    monkeypatch.setattr(engine, "make_tableau", make_and_keep)
+    monkeypatch.setattr(engine._KeptRows, "doomed", doomed_and_noted)
+    for name in calls:
+        rule = getattr(Tableau, name)
+
+        def counted(self, *args, _rule=rule, _name=name):
+            calls[_name] += 1
+            return _rule(self, *args)
+
+        monkeypatch.setattr(Tableau, name, counted)
+    result = engine.search(theory, spec, engine.SearchConfig(max_rows=rows))
+    monkeypatch.undo()
+    return result, tableaux[-1], skipped, calls
+
+
+def _digest(tableau) -> str:
+    h = hashlib.sha256()
+    for r in tableau.rows:
+        key = (engine._canonical_key(r), r.just.rule, r.just.parents, r.just.paths)
+        h.update(repr(key).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows", [("unify_same.thy", "unify-same", 200), ("unify.thy", "unify", 300)]
+)
+def test_skipped_moves_fail_to_unify_or_are_vacuous(monkeypatch, thy, spec, rows):
+    _, tableau, skipped, _ = _search_watched(monkeypatch, thy, spec, rows)
+    assert {m[0] for m in skipped} == {"resolve", "iffrepl"}
+    for move in skipped:
+        rule = tableau.resolve if move[0] == "resolve" else tableau.equivalence_replace
+        before = len(tableau.rows)
+        try:
+            row = rule(*move[1:])
+        except NotUnifiableError:
+            continue
+        assert tableau.rows[before:] == [row]
+        dead = L.TrueF if row.kind == ASSERTION else L.FalseF
+        assert isinstance(row.formula, dead), move
+        tableau.truncate(before)
+
+
+def test_full_theory_search_keeps_the_same_rows(monkeypatch):
+    result, tableau, _, _ = _search_watched(monkeypatch, "unify.thy", "unify", 300)
+    assert result is None and len(tableau.rows) == 300
+    assert _digest(tableau) == FULL_300_DIGEST
+
+
+def test_search_pair_rule_calls(monkeypatch):
+    # 1871 resolve and 490 iffrepl calls before doomed moves were skipped
+    result, _, _, calls = _search_watched(monkeypatch, "unify.thy", "unify", 250)
+    assert result is None
+    assert calls["resolve"] <= 500
+    assert calls["equivalence_replace"] <= 100
+    result, tableau, _, _ = _search_watched(monkeypatch, "unify_same.thy", "unify-same", 200)
+    assert result is not None and len(tableau.rows) == 31
+
+
+def test_clash_agrees_with_term_unify():
+    from tabsynth.subst import EMPTY
+    from tabsynth.term import Const, Var
+
+    x = MetaVar("X", "expr")
+    terms = [
+        x,
+        L.Literal(Const("a"), "expr"),
+        L.Literal(Const("b"), "expr"),
+        L.Literal(Var("a"), "expr"),
+        L.Literal(EMPTY, "subst"),
+        L.Apply("e1"),
+        L.Apply("cons", (x, L.Apply("e1"))),
+        L.Apply("left", (L.Apply("e1"),)),
+    ]
+    sig = L.default_signature()
+    sig.add_constant("e1", "expr")
+    for s, t in itertools.product(terms, repeat=2):
+        a, b = L.Atom("is-var", (s,)), L.Atom("is-var", (t,))
+        unifies = L.term_unify(a, b, sig) is not None
+        assert not (engine._clash(a, b) and unifies), (s, t)
+        if isinstance(s, L.Literal) and isinstance(t, L.Literal):
+            assert engine._clash(a, b) != unifies, (s, t)

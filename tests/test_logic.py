@@ -181,6 +181,18 @@ def test_term_unify_self():
     assert term_unify(f, f) == {}
 
 
+def test_term_unify_compares_literals_by_value():
+    from tabsynth.subst import EMPTY
+    from tabsynth.term import Const
+
+    a, b = L.Literal(Const("a"), "expr"), L.Literal(Const("b"), "expr")
+    assert term_unify(a, b) is None
+    assert term_unify(a, L.Literal(EMPTY, "subst")) is None
+    assert term_unify(Atom("is-var", (a,)), Atom("is-var", (b,))) is None
+    assert term_unify(a, L.Literal(Const("a"), "expr")) == {}
+    assert term_unify(Atom("is-var", (a,)), Atom("is-var", (a,))) == {}
+
+
 def test_term_unify_idempotent():
     sig = sig_with_params()
     rngnames = ["A", "B", "C"]

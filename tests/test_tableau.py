@@ -12,7 +12,9 @@ from tabsynth.tableau import (
     NotSplittableError,
     NotUnifiableError,
     ProgramSpec,
+    StandardizeApartError,
     Tableau,
+    TableauError,
     UnknownLemmaError,
     UnknownRelationError,
     equal_up_to_renaming,
@@ -163,6 +165,23 @@ def test_resolution_standardizes_apart():
     )
     out = tab.resolve(a1.rid, "2", a2.rid, "1")
     assert out.kind == ASSERTION
+
+
+def test_rows_sharing_a_name_after_renaming_is_a_defect_not_a_failed_rule():
+    sig = unify_sig()
+    for iff in (False, True):
+        tab = Tableau(unify_spec(sig), sig, strict=False)
+        # TH#1 is the name renaming the goal's TH apart would take
+        atom = "(mgiu th0 e1 e2 TH#1:subst)"
+        text = f"(iff {atom} (idem TH#1))" if iff else atom
+        row = tab.add_assertion(formula=parse_formula(text, sig), assumption=True)
+        with pytest.raises(StandardizeApartError, match=r"\['TH#1'\]") as err:
+            if iff:
+                tab.equivalence_replace(row.rid, "-", 1, "2", "ltr")
+            else:
+                tab.resolve(row.rid, "-", 1, "2")
+        # search skips a move only on TableauError or LogicError
+        assert not isinstance(err.value, (TableauError, L.LogicError))
 
 
 # -- replacements -------------------------------------------------------------
