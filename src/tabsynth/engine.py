@@ -4,7 +4,9 @@ A theory file registers lemmas, well-founded relations, and program
 specifications.  A derivation script applies tableau rules one command
 per line; replay executes it, failing fast, and returns the extracted,
 simplified program.  Search explores rule applications best-first under
-symbol weights.
+symbol weights.  A rule application is one step, (command, *arguments),
+whether it is a script line, the justification verify_replay reads back
+from a row, or a search move; apply_step applies all three.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import logic as L
 from . import program as P
@@ -34,8 +36,8 @@ class EngineError(Exception):
 
 
 class StepFailedError(EngineError):
-    def __init__(self, index: int, command: str, cause: Exception):
-        super().__init__(f"step {index} failed: {command!r}: {cause}")
+    def __init__(self, index: int, line_no: int, command: str, cause: Exception):
+        super().__init__(f"step {index} (line {line_no}) failed: {command!r}: {cause}")
         self.index = index
         self.command = command
         self.cause = cause
@@ -157,132 +159,101 @@ def replay(
     commands = parse_script(script_text)
     if not commands or commands[-1].text.split()[0] != "extract":
         raise EngineError("script must end with extract")
-    program: ProgramDef | None = None
     for idx, cmd in enumerate(commands, start=1):
-        before = len(tableau.rows)
+        made = []
         try:
-            program = _run_command(tableau, cmd.text)
+            if cmd.text.split()[0] != "extract":
+                made = apply_step(tableau, _parse_step(cmd.text, tableau.sig))
+            elif (program := tableau.extract_program()) is None:
+                raise NoFinalRowError("no final row")
         except (TableauError, L.LogicError, EngineError, ValueError) as exc:
-            raise StepFailedError(idx, cmd.text, exc) from exc
+            raise StepFailedError(idx, cmd.line_no, cmd.text, exc) from exc
         if trace:
-            for row in tableau.rows[before:]:
+            for row in made:
                 trace(tableau.render_row(row))
-    if program is None:
-        raise NoFinalRowError("no final row to extract a program from")
-    return tableau, ProgramDef(
-        program.name, program.params, P.simplify(program.body), program.decrease
-    )
+    return tableau, replace(program, body=P.simplify(program.body))
 
 
-def _run_command(tableau: Tableau, text: str) -> ProgramDef | None:
-    parts = text.split()
-    op, args = parts[0], parts[1:]
-    if op == "assert":
-        tableau.add_assertion(name=_args(text, args, str)[0])
-    elif op == "assume":
-        formula_text, output_text = _split_output(text[len("assume") :])
-        formula = L.parse_formula(formula_text, tableau.sig)
-        output = L.parse_term(output_text, tableau.sig) if output_text else None
-        tableau.add_assertion(formula=formula, output=output, assumption=True)
-    elif op == "split":
-        tableau.split_row(*_args(text, args, int))
-    elif op == "dualize":
-        tableau.dualize(*_args(text, args, int))
-    elif op == "orphan":
-        tableau.drop_orphan_output(*_args(text, args, int))
-    elif op == "induct":
-        tableau.insert_induction_hypothesis(*_args(text, args, str))
-    elif op == "resolve":
-        tableau.resolve(*_args(text, args, int, str, int, str))
-    elif op == "eqrepl":
-        tableau.equality_replace(*_args(text, args, int, str, int, str, str))
-    elif op == "iffrepl":
-        tableau.equivalence_replace(*_args(text, args, int, str, int, str, str))
-    elif op == "extract":
-        program = tableau.extract_program()
-        if program is None:
-            raise NoFinalRowError("no final row")
-        return program
-    else:
-        raise EngineError(f"unknown command {op!r}")
-    return None
+# ---------------------------------------------------------------------------
+# steps: one rule application, as a script line, a justification or a move
+
+# command -> (the Tableau rule it applies, the kinds of its arguments in a
+# script line: int for a row id, str for a path, a direction or a name).
+# An assume line is parsed apart; its arguments are a formula and an output.
+STEPS = {
+    "assert": ("add_assertion", (str,)),
+    "assume": ("assume", None),
+    "induct": ("insert_induction_hypothesis", (str,)),
+    "split": ("split_row", (int,)),
+    "dualize": ("dualize", (int,)),
+    "orphan": ("drop_orphan_output", (int,)),
+    "resolve": ("resolve", (int, str, int, str)),
+    "eqrepl": ("equality_replace", (int, str, int, str, str)),
+    "iffrepl": ("equivalence_replace", (int, str, int, str, str)),
+}
 
 
-def _args(text: str, args: list[str], *kinds) -> list:
-    """The command's arguments, one per kind: int for a row id, str otherwise."""
+def apply_step(tableau: Tableau, step: tuple) -> list[Row]:
+    """Apply a step, (command, *arguments), to tableau; return the rows it made.
+
+    A step is a script line with its row ids as ints (_parse_step), the
+    step a row's justification records (_step_of), or a search move.  The
+    rule is looked up on the tableau at each call, so a rule rebound on
+    Tableau is the one applied.
+    """
+    if step[0] not in STEPS:
+        raise EngineError(f"unknown command {step[0]!r}")
+    made = getattr(tableau, STEPS[step[0]][0])(*step[1:])
+    return made if isinstance(made, list) else [made]
+
+
+def _parse_step(text: str, sig: L.Signature) -> tuple:
+    """A script line other than extract as a step; formulas are read in sig."""
+    command = text.split()[0]
+    rest = text[len(command) :]
+    if command == "assume":
+        formula_text, *output = re.split(r"\boutput\b", rest, maxsplit=1)
+        output_text = "".join(output).strip()
+        output_term = L.parse_term(output_text, sig) if output_text else None
+        return ("assume", L.parse_formula(formula_text, sig), output_term)
+    if command not in STEPS:
+        raise EngineError(f"unknown command {command!r}")
+    kinds, args = STEPS[command][1], rest.split()
     try:
         if len(args) != len(kinds):
             raise ValueError
-        return [kind(arg) for kind, arg in zip(kinds, args)]
+        return (command, *[kind(arg) for kind, arg in zip(kinds, args)])
     except ValueError:
         raise EngineError(f"malformed command {text!r}") from None
 
 
-def _split_output(rest: str) -> tuple[str, str]:
-    m = re.search(r"\boutput\b", rest)
-    if m:
-        return rest[: m.start()].strip(), rest[m.end() :].strip()
-    return rest.strip(), ""
+def _step_of(row: Row) -> tuple:
+    """The step that made row, read back from its justification."""
+    just = row.just
+    if just.rule == "assume":
+        return ("assume", row.formula, row.output)
+    links = itertools.chain(*itertools.zip_longest(just.parents, just.paths))
+    notes = (just.note,) if just.note else ()
+    return (just.rule, *[x for x in links if x is not None], *notes)
 
 
 def verify_replay(theory: Theory, spec_name: str, tableau: Tableau) -> bool:
-    """Re-derive every row from its recorded justification and compare.
+    """Re-derive every row from the step its justification records, and compare.
 
     This is the kernel-checkable-log property: the justifications alone
-    reproduce the tableau.
+    reproduce the tableau.  A row's formula and output are compared under
+    one renaming of metavariables.
     """
     check = make_tableau(theory, spec_name)
-    idx = 0
-    rows = tableau.rows
-    while idx < len(rows):
-        row = rows[idx]
-        rule = row.just.rule
-        produced: list[Row]
-        if rule == "init":
-            produced = [check.rows[0]]
-        elif rule == "induct":
-            produced = [check.insert_induction_hypothesis(row.just.note)]
-        elif rule == "assert":
-            produced = [check.add_assertion(name=row.just.note)]
-        elif rule == "assume":
-            produced = [
-                check.add_assertion(
-                    formula=row.formula, output=row.output, assumption=True
-                )
-            ]
-        elif rule == "split":
-            produced = check.split_row(row.just.parents[0])
-        elif rule == "dualize":
-            produced = [check.dualize(row.just.parents[0])]
-        elif rule == "orphan":
-            produced = [check.drop_orphan_output(row.just.parents[0])]
-        elif rule == "resolve":
-            r1, r2 = row.just.parents
-            p1, p2 = row.just.paths
-            produced = [check.resolve(r1, p1, r2, p2)]
-        elif rule in ("eqrepl", "iffrepl"):
-            r1, r2 = row.just.parents
-            p1, p2, direction = row.just.paths
-            method = (
-                check.equality_replace if rule == "eqrepl" else check.equivalence_replace
-            )
-            produced = [method(r1, p1, r2, p2, direction)]
-        else:
-            raise EngineError(f"unknown rule {rule!r} in log")
-        for got in produced:
-            want = rows[idx]
-            same = got.kind == want.kind and equal_up_to_renaming(
-                got.formula, want.formula
-            )
-            if same and (want.output is None) == (got.output is None):
-                if want.output is not None:
-                    same = equal_up_to_renaming(got.output, want.output)
-            else:
-                same = False
-            if not same:
-                return False
-            idx += 1
-    return True
+    for i, want in enumerate(tableau.rows):
+        if i == len(check.rows):
+            apply_step(check, _step_of(want))
+        got = check.rows[i]
+        if got.kind != want.kind or not equal_up_to_renaming(
+            (got.formula, got.output), (want.formula, want.output)
+        ):
+            return False
+    return len(check.rows) == len(tableau.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +499,9 @@ def search(
                 continue
             before = len(tableau.rows)
             try:
-                if move[0] == "split":
-                    tableau.split_row(move[1])
-                elif move[0] == "orphan":
-                    tableau.drop_orphan_output(move[1])
-                elif move[0] == "resolve":
-                    tableau.resolve(move[1], move[2], move[3], move[4])
-                else:
-                    tableau.equivalence_replace(
-                        move[1], move[2], move[3], move[4], move[5]
-                    )
+                batch = apply_step(tableau, move)
             except (TableauError, L.LogicError):
                 continue
-            batch = tableau.rows[before:]
             parent_supported = any(
                 rid in supported
                 for new_row in batch
@@ -549,16 +510,10 @@ def search(
             if any(r.is_final() for r in batch):
                 program = tableau.extract_program()
                 if program is not None:
-                    return tableau, ProgramDef(
-                        program.name,
-                        program.params,
-                        P.simplify(program.body),
-                        program.decrease,
-                    )
+                    return tableau, replace(program, body=P.simplify(program.body))
             keep_any = False
             for new_row in batch:
-                key = _canonical_key(new_row)
-                if vacuous(new_row) or key in seen:
+                if vacuous(new_row) or (key := _canonical_key(new_row)) in seen:
                     continue
                 seen.add(key)
                 keep_any = True

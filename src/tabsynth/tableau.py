@@ -264,12 +264,16 @@ class Tableau:
     def _rename_apart(self, row1: Row, row2: Row):
         """Row 2's formula and output with every metavar fresh-renamed.
 
-        Raises StandardizeApartError when a fresh name is one of row 1's.
+        A fresh name skips the names row 1 uses; StandardizeApartError
+        guards that the rows share none.
         """
         mapping = {}
         for name in sorted(row2.metavar_names):
+            base = name.split("#", 1)[0]
             self._fresh += 1
-            mapping[name] = f"{name.split('#', 1)[0]}#{self._fresh}"
+            while f"{base}#{self._fresh}" in row1.metavar_names:
+                self._fresh += 1
+            mapping[name] = f"{base}#{self._fresh}"
         shared = row1.metavar_names.intersection(mapping.values())
         if shared:
             raise StandardizeApartError(
@@ -286,9 +290,9 @@ class Tableau:
 
     def add_assertion(
         self,
+        name: str | None = None,
         formula: Formula | None = None,
         output: LTerm | None = None,
-        name: str | None = None,
         assumption: bool = False,
     ) -> Row:
         """Enter a registered lemma (by name) or a scripted case assumption."""
@@ -303,6 +307,10 @@ class Tableau:
         L.check_formula(formula, self.sig)
         just = Justification("assume" if assumption else "assert", note=name or "")
         return self._append(ASSERTION, normalize(formula), output, just)
+
+    def assume(self, formula: Formula, output: LTerm | None = None) -> Row:
+        """Enter a case assumption, as a script's assume line does."""
+        return self.add_assertion(formula=formula, output=output, assumption=True)
 
     def dualize(self, rid: int) -> Row:
         row = self.row(rid)
@@ -545,12 +553,17 @@ def _print_meta(theta: L.MetaSubst) -> str:
     return "{" + inner + "}"
 
 
-def equal_up_to_renaming(a: L.Node, b: L.Node) -> bool:
-    """Structural equality modulo a bijective renaming of MetaVars."""
+def equal_up_to_renaming(a: L.Node | tuple, b: L.Node | tuple) -> bool:
+    """Structural equality modulo a bijective renaming of MetaVars.
+
+    Tuples of nodes or None are compared item by item under one renaming.
+    """
     fwd: dict[str, str] = {}
     bwd: dict[str, str] = {}
 
-    def walk(x: L.Node, y: L.Node) -> bool:
+    def walk(x, y) -> bool:
+        if x is None or y is None:
+            return x is y
         if isinstance(x, MetaVar) and isinstance(y, MetaVar):
             if x.sort != y.sort:
                 return False
@@ -565,7 +578,7 @@ def equal_up_to_renaming(a: L.Node, b: L.Node) -> bool:
             return False
         if isinstance(x, L.Literal):
             return x == y
-        xk, yk = L.children(x), L.children(y)
+        xk, yk = (x, y) if isinstance(x, tuple) else (L.children(x), L.children(y))
         if len(xk) != len(yk):
             return False
         return all(walk(p, q) for p, q in zip(xk, yk))

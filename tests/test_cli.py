@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -178,12 +179,23 @@ def test_malformed_inputs_name_the_entry(capsys, tmp_path):
     assert "malformed command 'resolve 1 a 2'" in capsys.readouterr().err
 
 
-def test_rows_sharing_a_name_after_renaming_exit_3(capsys, tmp_path):
+def test_renaming_apart_skips_names_already_in_use(capsys, tmp_path):
     theory = tmp_path / "clash.thy"
     theory.write_text(
         "spec pick (a1:expr) output TH:expr (= a1 TH)\nlemma fixed (= a1 TH#1:expr)\n"
     )
+    # renaming the goal's TH apart from the lemma skips TH#1; the second
+    # resolve makes the final row
     script = tmp_path / "clash.derivation"
-    script.write_text("assert fixed\nresolve 2 - 1 -\nextract\n")
-    assert main(["replay", str(script), "--theory", str(theory)]) == 3
-    assert "StandardizeApartError" in capsys.readouterr().err
+    script.write_text("assert fixed\nresolve 2 - 1 -\nresolve 1 - 2 -\nextract\n")
+    assert main(["replay", str(script), "--theory", str(theory), "--trace"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2] == "#3 [G] false | TH#1 | resolve (2@-, 1@-) {TH#2 -> TH#1}"
+
+
+def test_replay_trace_is_unchanged(capsys):
+    assert main(["replay", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 160
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "61ce8462e5ab497ad0a4d5a7356ac9da7adb1c1b8aabf0f6aa89e2d4cc03f097"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import pathlib
@@ -56,9 +57,38 @@ def test_replay_is_kernel_checkable(unify_theory, derivation):
     assert engine.verify_replay(unify_theory, "unify", tableau)
 
 
+def test_verify_replay_compares_formula_and_output_under_one_renaming(
+    unify_theory, derivation
+):
+    tableau, _ = engine.replay(unify_theory, "unify", derivation)
+    # FRESH alone is a renaming of TH, but not where the formula keeps TH
+    first = tableau.rows[0]
+    tableau.rows[0] = dataclasses.replace(first, output=MetaVar("FRESH", "subst"))
+    assert not engine.verify_replay(unify_theory, "unify", tableau)
+
+
+def test_verify_replay_on_dualize_and_assume_rows(unify_theory, derivation):
+    lines = derivation.rstrip().splitlines()
+    assert lines[-1] == "extract"
+    extra = ["dualize 3", "assume (idem th0)", "assume (is-var e1) output th0"]
+    script = "\n".join(lines[:-1] + extra + lines[-1:]) + "\n"
+    tableau, _ = engine.replay(unify_theory, "unify", script)
+    rules = [r.just.rule for r in tableau.rows[-3:]]
+    assert rules == ["dualize", "assume", "assume"]
+    assert tableau.rows[-1].output == L.Apply("th0")
+    assert engine.verify_replay(unify_theory, "unify", tableau)
+
+
 def test_replay_step_failure(unify_theory):
     script = "induct u-rel\nresolve 1 1 2 99\nextract\n"
     with pytest.raises(engine.StepFailedError) as err:
+        engine.replay(unify_theory, "unify", script)
+    assert err.value.index == 2
+
+
+def test_step_failure_names_the_script_line(unify_theory):
+    script = "induct u-rel\n\n# a comment\nresolve 1 1 2 99\nextract\n"
+    with pytest.raises(engine.StepFailedError, match=r"^step 2 \(line 4\) failed: ") as err:
         engine.replay(unify_theory, "unify", script)
     assert err.value.index == 2
 

@@ -12,9 +12,7 @@ from tabsynth.tableau import (
     NotSplittableError,
     NotUnifiableError,
     ProgramSpec,
-    StandardizeApartError,
     Tableau,
-    TableauError,
     UnknownLemmaError,
     UnknownRelationError,
     equal_up_to_renaming,
@@ -167,21 +165,20 @@ def test_resolution_standardizes_apart():
     assert out.kind == ASSERTION
 
 
-def test_rows_sharing_a_name_after_renaming_is_a_defect_not_a_failed_rule():
+def test_renaming_apart_skips_the_names_of_the_other_row():
     sig = unify_sig()
     for iff in (False, True):
         tab = Tableau(unify_spec(sig), sig, strict=False)
-        # TH#1 is the name renaming the goal's TH apart would take
+        # TH#1 is the name the counter offers the goal's TH first
         atom = "(mgiu th0 e1 e2 TH#1:subst)"
         text = f"(iff {atom} (idem TH#1))" if iff else atom
         row = tab.add_assertion(formula=parse_formula(text, sig), assumption=True)
-        with pytest.raises(StandardizeApartError, match=r"\['TH#1'\]") as err:
-            if iff:
-                tab.equivalence_replace(row.rid, "-", 1, "2", "ltr")
-            else:
-                tab.resolve(row.rid, "-", 1, "2")
-        # search skips a move only on TableauError or LogicError
-        assert not isinstance(err.value, (TableauError, L.LogicError))
+        if iff:
+            new = tab.equivalence_replace(row.rid, "-", 1, "2", "ltr")
+        else:
+            new = tab.resolve(row.rid, "-", 1, "2")
+        assert "TH#2" in new.just.unifier
+        assert not new.metavar_names & tab.rows[0].metavar_names
 
 
 # -- replacements -------------------------------------------------------------
