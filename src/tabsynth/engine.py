@@ -317,24 +317,17 @@ def _pred(atom: L.Formula) -> str:
 def _clash(a: L.Node, b: L.Node) -> bool:
     """Whether a and b cannot unify, judged by their own and their children's tops.
 
-    A child that is a MetaVar is skipped; any other keeps its node type,
-    function symbol and arity under every meta-substitution.
+    A child that is a MetaVar is skipped; any other keeps its head and
+    arity under every meta-substitution.
     """
-    if type(a) is not type(b) or (isinstance(a, L.Atom) and a.pred != b.pred):
-        return True
     ka, kb = L.children(a), L.children(b)
-    if len(ka) != len(kb):
+    if L.head(a) != L.head(b) or len(ka) != len(kb):
         return True
-    for s, t in zip(ka, kb):
-        if isinstance(s, L.MetaVar) or isinstance(t, L.MetaVar):
-            continue
-        if type(s) is not type(t):
-            return True
-        if isinstance(s, L.Apply) and (s.fn != t.fn or len(s.args) != len(t.args)):
-            return True
-        if isinstance(s, L.Literal) and s != t:
-            return True
-    return False
+    return any(
+        L.head(s) != L.head(t) or len(L.children(s)) != len(L.children(t))
+        for s, t in zip(ka, kb)
+        if type(s) is not L.MetaVar and type(t) is not L.MetaVar
+    )
 
 
 class _KeptRows:
@@ -414,12 +407,7 @@ def _canonical_key(row: Row) -> tuple:
     restating a formula with a different program fragment are pruned in
     favor of the first one found.
     """
-    mapping: dict[str, str] = {}
-    for node in L.nodes(row.formula):
-        if isinstance(node, L.MetaVar):
-            mapping.setdefault(node.name, f"V{len(mapping)}")
-    formula = L.print_formula(L.rename_metavars(row.formula, mapping))
-    return (row.kind, formula, row.output is None)
+    return (row.kind, L.canonical(row.formula), row.output is None)
 
 
 def search(

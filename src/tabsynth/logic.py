@@ -245,65 +245,6 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def term_sort(t: LTerm, sig: Signature) -> str:
-    if isinstance(t, (MetaVar, Literal)):
-        return t.sort
-    if isinstance(t, Apply):
-        if t.fn not in sig.functions:
-            raise SortError(f"unknown function {t.fn}")
-        return sig.functions[t.fn][1]
-    return term_sort(t.then, sig)
-
-
-def check_term(t: LTerm, sig: Signature, expected: str | None = None) -> str:
-    """Check well-sortedness of t; returns its sort."""
-    if isinstance(t, (MetaVar, Literal)):
-        got = t.sort
-    elif isinstance(t, Apply):
-        if t.fn not in sig.functions:
-            raise SortError(f"unknown function {t.fn}")
-        argsorts, got = sig.functions[t.fn]
-        if len(argsorts) != len(t.args):
-            raise SortError(f"{t.fn} expects {len(argsorts)} arguments")
-        for arg, want in zip(t.args, argsorts):
-            check_term(arg, sig, want)
-    else:
-        check_formula(t.test, sig)
-        got = check_term(t.then, sig)
-        if check_term(t.els, sig) != got:
-            raise SortError("conditional branches have different sorts")
-    if expected is not None and got != expected:
-        raise SortError(f"expected sort {expected}, got {got} in {print_formula(t)}")
-    return got
-
-
-def check_formula(f: Formula, sig: Signature) -> None:
-    if isinstance(f, (TrueF, FalseF)):
-        return
-    if isinstance(f, Atom):
-        if f.pred not in sig.predicates:
-            raise SortError(f"unknown predicate {f.pred}")
-        argsorts = sig.predicates[f.pred]
-        if len(argsorts) != len(f.args):
-            raise SortError(f"{f.pred} expects {len(argsorts)} arguments")
-        for arg, want in zip(f.args, argsorts):
-            check_term(arg, sig, want)
-        return
-    if isinstance(f, Eq):
-        if check_term(f.lhs, sig) != check_term(f.rhs, sig):
-            raise SortError("equality between different sorts")
-        return
-    if isinstance(f, Not):
-        check_formula(f.body, sig)
-        return
-    if isinstance(f, (And, Or)):
-        for p in f.parts:
-            check_formula(p, sig)
-        return
-    check_formula(f.antecedent if isinstance(f, Implies) else f.lhs, sig)
-    check_formula(f.consequent if isinstance(f, Implies) else f.rhs, sig)
-
-
 # ---------------------------------------------------------------------------
 # node shapes and the generic traversal
 
@@ -354,6 +295,107 @@ def map_node(node: Node, leaf: Callable[[Node], Optional[Node]]) -> Node:
     if all(map(operator.is_, mapped, old)):
         return node
     return rebuild(node, mapped)
+
+
+# node type -> the field that tells nodes of that type apart beyond arity
+_LABELS = {Atom: "pred", Apply: "fn", Literal: "value"}
+
+
+def head(node: Node) -> tuple:
+    """The node's type with its predicate, function symbol or literal value."""
+    typ = type(node)
+    return (typ, getattr(node, _LABELS[typ])) if typ in _LABELS else (typ,)
+
+
+def canonical(item: Node | tuple) -> tuple:
+    """The pre-order heads and arities of item, as one flat tuple.
+
+    A metavar is (MetaVar, n, sort), n numbering the names by first
+    occurrence, so two items are equal up to a bijective renaming of
+    metavars exactly when their canonical forms are equal.  A tuple of
+    nodes or None is read entry by entry under one numbering.
+    """
+    numbers: dict[str, int] = {}
+    out: list = []
+    for part in item if isinstance(item, tuple) else (item,):
+        if part is None:
+            out.append(None)
+            continue
+        for n in nodes(part):
+            if type(n) is MetaVar:
+                out += (MetaVar, numbers.setdefault(n.name, len(numbers)), n.sort)
+            else:
+                out += head(n)
+                out.append(len(children(n)))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# sorts
+
+
+def sort_of(t: LTerm, sig: Signature, env: dict[str, str] | None = None) -> str | None:
+    """The sort t's head declares; a Cond's is that of its first branch with one.
+
+    Given env, an unsorted metavar has the sort env notes for it, or None.
+    """
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        typ = type(t)
+        if typ is Cond:
+            stack += (t.els, t.then)
+        elif typ is Apply:
+            if t.fn not in sig.functions:
+                raise SortError(f"unknown function {t.fn}")
+            return sig.functions[t.fn][1]
+        elif env is None or t.sort != "?":
+            return t.sort
+        elif t.name in env:
+            return env[t.name]
+    return None
+
+
+def _sort_walk(node: Node, sig: Signature, env: dict[str, str] | None = None):
+    """Every sub-node of node in pre-order, with the sort it must have or None.
+
+    The signature gives the sorts of an atom's or an application's
+    arguments; the two sides of an Eq, and the branches of a Cond, share
+    one sort.  env is read as sort_of reads it, when a node's children are
+    reached, so a metavar noted in it earlier in the walk counts.
+    """
+    stack: list[tuple[Node, Optional[str]]] = [(node, None)]
+    while stack:
+        n, want = stack.pop()
+        yield n, want
+        typ = type(n)
+        if typ is MetaVar or typ is Literal:
+            continue
+        kids = _SHAPES[typ][0](n)
+        if typ is Atom or typ is Apply:
+            name = n.pred if typ is Atom else n.fn
+            table = sig.predicates if typ is Atom else sig.functions
+            if name not in table:
+                kind = "predicate" if typ is Atom else "function"
+                raise SortError(f"unknown {kind} {name}")
+            wants = table[name] if typ is Atom else table[name][0]
+            if len(wants) != len(kids):
+                raise SortError(f"{name} expects {len(wants)} arguments")
+        elif typ is Eq:
+            wants = (sort_of(n.lhs, sig, env) or sort_of(n.rhs, sig, env),) * 2
+        elif typ is Cond:
+            branch = sort_of(n.then, sig, env) or sort_of(n.els, sig, env) or want
+            wants = (None, branch, branch)
+        else:
+            wants = (None,) * len(kids)
+        stack.extend(zip(reversed(kids), reversed(wants)))
+
+
+def check_formula(node: Node, sig: Signature) -> None:
+    """Check that node, a formula or a term, is well-sorted in sig."""
+    for n, want in _sort_walk(node, sig):
+        if want is not None and (got := sort_of(n, sig)) != want:
+            raise SortError(f"expected sort {want}, got {got} in {print_formula(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,57 +509,15 @@ def _resolve_sorts(node: Node, sig: Signature) -> Node:
     known = -1
     while len(env) != known:  # each pass may sort metavars an earlier one could not
         known = len(env)
-        _collect(node, None, sig, env)
+        for n, want in _sort_walk(node, sig, env):
+            if type(n) is MetaVar and (sort := want if n.sort == "?" else n.sort):
+                if env.setdefault(n.name, sort) != sort:
+                    raise SortError(
+                        f"metavar {n.name} used at sorts {env[n.name]} and {sort}"
+                    )
     out = _assign(node, env)
-    if isinstance(out, _TERM_TYPES):
-        check_term(out, sig)
-    else:
-        check_formula(out, sig)
+    check_formula(out, sig)
     return out
-
-
-def _note(env: dict[str, str], name: str, sort: str | None) -> None:
-    if sort is None:
-        return
-    if name in env and env[name] != sort:
-        raise SortError(f"metavar {name} used at sorts {env[name]} and {sort}")
-    env[name] = sort
-
-
-def _collect(n: Node, want: str | None, sig: Signature, env: dict[str, str]) -> None:
-    """Note in env the sort of each metavar in n; want is n's expected sort."""
-    if isinstance(n, MetaVar):
-        _note(env, n.name, n.sort if n.sort != "?" else want)
-    elif isinstance(n, Atom):
-        for arg, argwant in zip(n.args, sig.predicates[n.pred]):
-            _collect(arg, argwant, sig, env)
-    elif isinstance(n, Apply):
-        for arg, argwant in zip(n.args, sig.functions[n.fn][0]):
-            _collect(arg, argwant, sig, env)
-    elif isinstance(n, Eq):
-        same = _peek_sort(n.lhs, sig, env) or _peek_sort(n.rhs, sig, env)
-        _collect(n.lhs, same, sig, env)
-        _collect(n.rhs, same, sig, env)
-    elif isinstance(n, Cond):
-        _collect(n.test, None, sig, env)
-        branch = _peek_sort(n.then, sig, env) or _peek_sort(n.els, sig, env) or want
-        _collect(n.then, branch, sig, env)
-        _collect(n.els, branch, sig, env)
-    else:
-        for kid in children(n):
-            _collect(kid, None, sig, env)
-
-
-def _peek_sort(t: LTerm, sig: Signature, env: dict[str, str]) -> str | None:
-    if isinstance(t, MetaVar):
-        if t.sort != "?":
-            return t.sort
-        return env.get(t.name)
-    if isinstance(t, Literal):
-        return t.sort
-    if isinstance(t, Apply):
-        return sig.functions[t.fn][1]
-    return _peek_sort(t.then, sig, env) or _peek_sort(t.els, sig, env)
 
 
 def _assign(node: Node, env: dict[str, str]) -> Node:
@@ -560,24 +560,31 @@ def print_formula(node: Node) -> str:
 
 def get_at(node: Node, path: tuple[int, ...]) -> Node:
     """Fetch the sub-node at a 1-based child path."""
-    for idx in path:
-        kids = children(node)
-        if not (1 <= idx <= len(kids)):
-            raise BadPathError(f"no child {idx} at {node!r}")
-        node = kids[idx - 1]
-    return node
+    return _spine(node, path)[-1]
 
 
 def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
-    if not path:
-        return new
-    kids, rebuild = _SHAPES[type(node)]
-    new_kids = list(kids(node))
-    idx = path[0]
-    if not (1 <= idx <= len(new_kids)):
-        raise BadPathError(f"no child {idx} at {node!r}")
-    new_kids[idx - 1] = replace_at(new_kids[idx - 1], path[1:], new)
-    return rebuild(node, tuple(new_kids))
+    spine = _spine(node, path)
+    for parent, idx in zip(reversed(spine[:-1]), reversed(path)):
+        kids = list(children(parent))
+        kids[idx - 1] = new
+        new = _SHAPES[type(parent)][1](parent, tuple(kids))
+    return new
+
+
+def _spine(node: Node, path: tuple[int, ...]) -> list[Node]:
+    """The nodes along a 1-based child path, node first."""
+    spine = [node]
+    for depth, idx in enumerate(path):
+        kids = children(spine[-1])
+        if not 1 <= idx <= len(kids):
+            at = ".".join(map(str, path[:depth])) or "-"
+            raise BadPathError(
+                f"bad path {'.'.join(map(str, path))}: "
+                f"the node at {at} has {len(kids)} children"
+            )
+        spine.append(kids[idx - 1])
+    return spine
 
 
 def parse_path(text: str) -> tuple[int, ...]:
@@ -596,18 +603,15 @@ def metavars_of(node: Node) -> frozenset[MetaVar]:
 
 
 def atom_paths(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
-    """All Atom/Eq occurrences in f with their paths."""
-
-    def walk(n: Node, path: tuple[int, ...]):
+    """All Atom/Eq occurrences in f with their paths, in left-to-right pre-order."""
+    stack: list[tuple[tuple[int, ...], Node]] = [((), f)]
+    while stack:
+        path, n = stack.pop()
         if isinstance(n, (Atom, Eq)):
             yield path, n
-            return
-        if isinstance(n, _TERM_TYPES):
-            return
-        for i, kid in enumerate(children(n), start=1):
-            yield from walk(kid, path + (i,))
-
-    yield from walk(f, ())
+        elif not isinstance(n, _TERM_TYPES):
+            kids = children(n)
+            stack.extend((path + (i,), kids[i - 1]) for i in range(len(kids), 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -641,21 +645,15 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
             return bind(x, y)
         if isinstance(y, MetaVar):
             return bind(y, x)
-        if type(x) is not type(y) or isinstance(x, Literal):  # x != y
-            return False
-        if isinstance(x, Atom) and x.pred != y.pred:
-            return False
-        if isinstance(x, Apply) and x.fn != y.fn:
-            return False
         xk, yk = children(x), children(y)
-        if len(xk) != len(yk):
+        if head(x) != head(y) or len(xk) != len(yk):
             return False
         return all(walk(p, q) for p, q in zip(xk, yk))
 
     def bind(v: MetaVar, t: Node) -> bool:
         if not isinstance(t, _TERM_TYPES):
             return False
-        if v.sort != "?" and term_sort(t, sig) != v.sort:
+        if v.sort != "?" and sort_of(t, sig) != v.sort:
             return False
         if v in metavars_of(t):
             return False

@@ -337,11 +337,11 @@ class Tableau:
                 a = self._append(ASSERTION, row.formula.antecedent, row.output, just())
                 g = self._append(GOAL, row.formula.consequent, row.output, just())
                 return [a, g]
-            dist = _distribute_and(row.formula)
+            dist = _distribute(row.formula, And, Or)
             if isinstance(dist, Or):
                 return [self._append(GOAL, p, row.output, just()) for p in dist.parts]
             raise NotSplittableError("goal is neither an implication nor a disjunction")
-        dist = _distribute_or(row.formula)
+        dist = _distribute(row.formula, Or, And)
         if isinstance(dist, And):
             return [
                 self._append(ASSERTION, p, row.output, just()) for p in dist.parts
@@ -517,25 +517,18 @@ class Tableau:
         return self._append(GOAL, combined, output, just)
 
 
-def _distribute_or(f: Formula) -> Formula:
-    """Distribute a disjunction over one conjunct (clausal-style), repeatedly."""
-    while isinstance(f, Or):
-        target = next((p for p in f.parts if isinstance(p, And)), None)
+def _distribute(f: Formula, outer: type, inner: type) -> Formula:
+    """Distribute an outer junction over one inner part, repeatedly.
+
+    (Or, And) gives the conjunctive form an assertion splits into, (And,
+    Or) the disjunctive form of a goal.
+    """
+    while isinstance(f, outer):
+        target = next((p for p in f.parts if isinstance(p, inner)), None)
         if target is None:
             break
         rest = tuple(p for p in f.parts if p is not target)
-        f = normalize(And(tuple(Or(rest + (c,)) for c in target.parts)))
-    return f
-
-
-def _distribute_and(f: Formula) -> Formula:
-    """Distribute a conjunction over one disjunct, repeatedly (dual form)."""
-    while isinstance(f, And):
-        target = next((p for p in f.parts if isinstance(p, Or)), None)
-        if target is None:
-            break
-        rest = tuple(p for p in f.parts if p is not target)
-        f = normalize(Or(tuple(And(rest + (d,)) for d in target.parts)))
+        f = normalize(inner(tuple(outer(rest + (c,)) for c in target.parts)))
     return f
 
 
@@ -558,29 +551,4 @@ def equal_up_to_renaming(a: L.Node | tuple, b: L.Node | tuple) -> bool:
 
     Tuples of nodes or None are compared item by item under one renaming.
     """
-    fwd: dict[str, str] = {}
-    bwd: dict[str, str] = {}
-
-    def walk(x, y) -> bool:
-        if x is None or y is None:
-            return x is y
-        if isinstance(x, MetaVar) and isinstance(y, MetaVar):
-            if x.sort != y.sort:
-                return False
-            if fwd.setdefault(x.name, y.name) != y.name:
-                return False
-            return bwd.setdefault(y.name, x.name) == x.name
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Atom) and x.pred != y.pred:
-            return False
-        if isinstance(x, Apply) and x.fn != y.fn:
-            return False
-        if isinstance(x, L.Literal):
-            return x == y
-        xk, yk = (x, y) if isinstance(x, tuple) else (L.children(x), L.children(y))
-        if len(xk) != len(yk):
-            return False
-        return all(walk(p, q) for p, q in zip(xk, yk))
-
-    return walk(a, b)
+    return L.canonical(a) == L.canonical(b)

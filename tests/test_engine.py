@@ -93,6 +93,14 @@ def test_step_failure_names_the_script_line(unify_theory):
     assert err.value.index == 2
 
 
+def test_bad_path_names_the_path_not_the_formula(unify_theory):
+    script = "induct u-rel\nresolve 1 1 2 99\nextract\n"
+    with pytest.raises(engine.StepFailedError) as err:
+        engine.replay(unify_theory, "unify", script)
+    assert isinstance(err.value.cause, L.BadPathError)
+    assert str(err.value.cause) == "bad path 99: the node at - has 2 children"
+
+
 def test_replay_truncated_assume(unify_theory):
     with pytest.raises(engine.StepFailedError) as err:
         engine.replay(unify_theory, "unify", "assume (= (\nextract\n")
@@ -255,7 +263,7 @@ def test_malformed_script_command_is_named(unify_theory):
 
 # -- moves the search never tries ---------------------------------------------
 
-# (_canonical_key, rule, parents, paths) of every row of the 300-row
+# (_row_key, rule, parents, paths) of every row of the 300-row
 # full-theory search, as the search made them before it skipped any move
 FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
 
@@ -293,10 +301,20 @@ def _search_watched(monkeypatch, thy, spec, rows):
     return result, tableaux[-1], skipped, calls
 
 
+def _row_key(row) -> tuple:
+    """The row up to metavar renaming, as search's duplicate key once printed it."""
+    mapping: dict[str, str] = {}
+    for node in L.nodes(row.formula):
+        if isinstance(node, MetaVar):
+            mapping.setdefault(node.name, f"V{len(mapping)}")
+    formula = L.print_formula(L.rename_metavars(row.formula, mapping))
+    return (row.kind, formula, row.output is None)
+
+
 def _digest(tableau) -> str:
     h = hashlib.sha256()
     for r in tableau.rows:
-        key = (engine._canonical_key(r), r.just.rule, r.just.parents, r.just.paths)
+        key = (_row_key(r), r.just.rule, r.just.parents, r.just.paths)
         h.update(repr(key).encode() + b"\n")
     return h.hexdigest()
 

@@ -276,6 +276,25 @@ def test_paths():
     assert parse_path("-") == ()
 
 
+def test_bad_path_message_names_the_path_and_the_children():
+    f = parse_formula("(and (idem th0) (= (apply e1 TH:subst) e2))", sig_with_params())
+    message = r"^bad path 2\.1\.3: the node at 2\.1 has 2 children$"
+    with pytest.raises(L.BadPathError, match=message):
+        get_at(f, (2, 1, 3))
+    with pytest.raises(L.BadPathError, match=message):
+        replace_at(f, (2, 1, 3), Apply("e1"))
+
+
+def test_check_formula_on_a_deep_term():
+    sig = sig_with_params()
+    t = Apply("e1")
+    for _ in range(10_000):
+        t = Apply("cons", (t, Apply("e1")))
+    L.check_formula(Atom("is-var", (t,)), sig)
+    with pytest.raises(SortError, match="expected sort expr, got subst in th0"):
+        L.check_formula(Atom("is-var", (Apply("cons", (t, Apply("th0"))),)), sig)
+
+
 def test_rename_metavars_round_trip():
     f = parse_formula("(mgiu TH0 E1 E2 TH)")
     renamed = rename_metavars(f, {"TH0": "A", "TH": "B"})

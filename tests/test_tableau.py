@@ -104,6 +104,36 @@ def test_add_assertion_registration():
 
 # -- resolution --------------------------------------------------------------
 
+def deep_cons(depth: int) -> Apply:
+    t = Apply("e1")
+    for _ in range(depth):
+        t = Apply("cons", (t, Apply("e1")))
+    return t
+
+
+def test_assume_a_deep_atom():
+    t = deep_cons(10_000)
+    row = fresh_tableau().assume(Atom("is-var", (t,)))
+    assert row.kind == ASSERTION and row.formula.args[0] is t
+
+
+def test_equal_up_to_renaming_on_a_deep_term():
+    t = deep_cons(10_000)
+    assert equal_up_to_renaming(t, t)
+    assert not equal_up_to_renaming(t, Apply("cons", (t.args[0], Apply("e2"))))
+
+
+def test_equal_up_to_renaming_is_a_bijection_of_sorted_names():
+    x, y = MetaVar("X", "expr"), MetaVar("Y", "expr")
+    xy, yx, xx = (Atom("occurs-proper", args) for args in ((x, y), (y, x), (x, x)))
+    assert equal_up_to_renaming(xy, yx)
+    assert not equal_up_to_renaming(xy, xx) and not equal_up_to_renaming(xx, xy)
+    assert not equal_up_to_renaming(x, MetaVar("X", "subst"))
+    assert equal_up_to_renaming((xy, None), (yx, None))
+    assert not equal_up_to_renaming((x, x), (x, y))
+    assert not equal_up_to_renaming((xy, None), (xy, x))
+
+
 def test_resolution_goal_goal_conditional():
     tab = prop_tableau()
     p, q, r = Atom("p"), Atom("q"), Atom("h", (Apply("c0"),))
