@@ -395,7 +395,18 @@ def check_formula(node: Node, sig: Signature) -> None:
     """Check that node, a formula or a term, is well-sorted in sig."""
     for n, want in _sort_walk(node, sig):
         if want is not None and (got := sort_of(n, sig)) != want:
-            raise SortError(f"expected sort {want}, got {got} in {print_formula(n)}")
+            raise SortError(f"expected sort {want}, got {got} in {_brief(n)}")
+
+
+def _brief(node: Node) -> str:
+    """node's text if it is a leaf, else its head with one _ per child.
+
+    Bounded however deep node is, so a message can quote any node.
+    """
+    kids = children(node)
+    if not kids:
+        return print_formula(node)
+    return "(" + " ".join([_label(node), *["_"] * len(kids)]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +554,21 @@ def print_formula(node: Node) -> str:
         if isinstance(value, (_subst.Proper, _subst.Failure)):
             return f"'{_subst.print_subst(value)}'"
         return f"'{_term.print_expr(value)}'"
-    if typ is Apply:
-        head = node.fn
-    elif typ is Atom:
-        head = node.pred
-    else:
-        head = _HEADS[typ]
+    head = _label(node)
     kids = _SHAPES[typ][0](node)
     if not kids and typ is not Atom:
         return head
     return "(" + " ".join([head, *map(print_formula, kids)]) + ")"
+
+
+def _label(node: Node) -> str:
+    """The symbol or keyword that heads node's text."""
+    typ = type(node)
+    if typ is Apply:
+        return node.fn
+    if typ is Atom:
+        return node.pred
+    return _HEADS[typ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ from typing import Iterable, Union
 from .term import (
     BLACK_HOLE,
     Cons,
-    Const,
     Expr,
     Var,
     parse_expr,
     print_expr,
-    vars_of,
+    shared_varset,
 )
+
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 class SubstError(Exception):
@@ -41,20 +43,42 @@ class Failure:
 BOT = Failure()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proper:
-    """A proper substitution: sorted, identity-free binding pairs."""
+    """A proper substitution: sorted, identity-free binding pairs.
+
+    The binding map, its domain and its range (the variables of its
+    images) are kept from construction; they take no part in equality,
+    hashing or printing.
+    """
 
     bindings: tuple[tuple[str, Expr], ...] = field(default=())
+    map: dict[str, Expr] = field(init=False, compare=False, repr=False)
+    domain: frozenset[str] = field(init=False, compare=False, repr=False)
+    range: frozenset[str] = field(init=False, compare=False, repr=False)
 
-    def mapping(self) -> dict[str, Expr]:
-        return dict(self.bindings)
+    def __post_init__(self):
+        image = dict(self.bindings)
+        object.__setattr__(self, "map", image)
+        object.__setattr__(
+            self, "domain", shared_varset(frozenset(image)) if image else _NO_NAMES
+        )
+        object.__setattr__(self, "range", _union(e.vars for e in image.values()))
 
     def __repr__(self) -> str:
         return print_subst(self)
 
 
 Subst = Union[Proper, Failure]
+
+
+def _union(sets: Iterable[frozenset[str]]) -> frozenset[str]:
+    # reuses an operand that already holds the others, as a Cons does
+    out = _NO_NAMES
+    for names in sets:
+        if not names <= out:
+            out = names if out <= names else shared_varset(out | names)
+    return out
 
 
 def make_subst(pairs: Iterable[tuple[str, Expr]]) -> Proper:
@@ -64,7 +88,7 @@ def make_subst(pairs: Iterable[tuple[str, Expr]]) -> Proper:
         if name in seen:
             raise DuplicateVariableError(f"variable {name} bound twice")
         seen[name] = image
-    kept = {n: e for n, e in seen.items() if e != Var(n)}
+    kept = {n: e for n, e in seen.items() if not (isinstance(e, Var) and e.name == n)}
     return Proper(tuple(sorted(kept.items(), key=lambda kv: kv[0])))
 
 
@@ -76,14 +100,28 @@ def is_proper(s: Subst) -> bool:
 
 
 def apply(e: Expr, s: Subst) -> Expr:
-    """Apply s to e: simultaneous replacement; bot yields the black hole."""
+    """Apply s to e: simultaneous replacement; bot yields the black hole.
+
+    A subexpression with no variable in dom(s) comes back as the same
+    object, not a copy.
+    """
     if isinstance(s, Failure):
         return BLACK_HOLE
-    if isinstance(e, Var):
-        return s.mapping().get(e.name, e)
-    if isinstance(e, Const):
+    if e.vars.isdisjoint(s.domain):
         return e
-    return Cons(apply(e.left, s), apply(e.right, s))
+    return _replace_vars(e, s.map, s.domain)
+
+
+def _replace_vars(e: Expr, image: dict[str, Expr], dom: frozenset[str]) -> Expr:
+    # e holds a variable of dom, so it is that variable or a cons
+    if isinstance(e, Var):
+        return image[e.name]
+    left, right = e.left, e.right
+    if not left.vars.isdisjoint(dom):
+        left = _replace_vars(left, image, dom)
+    if not right.vars.isdisjoint(dom):
+        right = _replace_vars(right, image, dom)
+    return Cons(left, right)
 
 
 def compose(s1: Subst, s2: Subst) -> Subst:
@@ -104,22 +142,25 @@ def replacement(x: str, e: Expr) -> Proper:
 
 def dom_of(s: Subst) -> frozenset[str]:
     if isinstance(s, Failure):
-        return frozenset()
-    return frozenset(n for n, _ in s.bindings)
+        return _NO_NAMES
+    return s.domain
 
 
 def range_of(s: Subst) -> frozenset[str]:
     if isinstance(s, Failure):
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for _, img in s.bindings:
-        out |= vars_of(img)
-    return out
+        return _NO_NAMES
+    return s.range
 
 
 def misses(s: Subst, e: Expr) -> bool:
-    """True iff applying s leaves e unchanged."""
-    return apply(e, s) == e
+    """True iff applying s leaves e unchanged.
+
+    For a proper s that is no variable of e in dom(s), since s binds no
+    variable to itself; bot changes every expression but the black hole.
+    """
+    if isinstance(s, Failure):
+        return e == BLACK_HOLE
+    return e.vars.isdisjoint(s.domain)
 
 
 def is_idempotent(s: Subst) -> bool:

@@ -9,8 +9,9 @@ is a constant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+import weakref
+from dataclasses import dataclass, field
+from typing import ClassVar, Union
 
 
 class ExprError(Exception):
@@ -27,20 +28,71 @@ class AtomicExpressionError(ExprError):
     """left/right applied to an atom; no value is defined for it."""
 
 
-@dataclass(frozen=True)
+# Every node carries its variable set and its size (`vars`, `size`),
+# constants of the class for an atom where they can be, and computed
+# from the children's when a cons is built, so neither is ever
+# recomputed by a walk (cached attributes as in hash-consing, without
+# interning).  Neither takes part in equality, hashing or printing.
+_NO_VARS: frozenset[str] = frozenset()
+# One object per distinct variable set, held only while something uses
+# it; found by its name for a variable's set, else by an equal set.
+_VAR_SETS: weakref.WeakValueDictionary[str | frozenset[str], frozenset[str]] = (
+    weakref.WeakValueDictionary()
+)
+_set = object.__setattr__
+
+
+def shared_varset(names: frozenset[str]) -> frozenset[str]:
+    """The one live set equal to names, which becomes it if there is none."""
+    found = _VAR_SETS.get(names)
+    if found is None:
+        # keyed by a copy: a key that is the value would keep it alive
+        found = _VAR_SETS[frozenset(list(names))] = names
+    return found
+
+
+def _cached():
+    return field(init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
+    vars: ClassVar[frozenset[str]] = _NO_VARS
+    size: ClassVar[int] = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    vars: frozenset[str] = _cached()
+    size: ClassVar[int] = 0
+
+    def __post_init__(self):
+        name = self.name
+        names = _VAR_SETS.get(name)
+        if names is None:
+            names = _VAR_SETS[name] = frozenset((name,))
+        _set(self, "vars", names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cons:
     left: "Expr"
     right: "Expr"
+    vars: frozenset[str] = _cached()
+    size: int = _cached()
+
+    def __post_init__(self):
+        # a child's set is reused when it already holds the other's
+        lv, rv = self.left.vars, self.right.vars
+        if rv <= lv:
+            _set(self, "vars", lv)
+        elif lv <= rv:
+            _set(self, "vars", rv)
+        else:
+            _set(self, "vars", shared_varset(lv | rv))
+        _set(self, "size", 1 + self.left.size + self.right.size)
 
 
 Expr = Union[Const, Var, Cons]
@@ -79,36 +131,42 @@ def right_of(e: Expr) -> Expr:
 
 def size_of(e: Expr) -> int:
     """Number of non-variable symbols (constants and conses) in e."""
-    if isinstance(e, Var):
-        return 0
-    if isinstance(e, Const):
-        return 1
-    return 1 + size_of(e.left) + size_of(e.right)
+    return e.size
 
 
 def vars_of(e: Expr) -> frozenset[str]:
     """Set of variable names occurring in e."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
-    return vars_of(e.left) | vars_of(e.right)
+    return e.vars
 
 
 def occurs_in(d: Expr, e: Expr, mode: str = "proper") -> bool:
     """Occurrence of d in e: proper subexpression, or reflexive closure.
 
     mode='proper' is false whenever e is atomic; mode='reflexive' also
-    accepts d equal to e.
+    accepts d equal to e.  Subtrees too small for d, or lacking one of
+    its variables, are not entered.
     """
-    if mode == "reflexive":
-        return d == e or occurs_in(d, e, "proper")
-    if mode != "proper":
+    if mode == "proper":
+        # a proper subexpression is smaller and has no variable e lacks
+        if d.size >= e.size or not d.vars <= e.vars:
+            return False
+        if not isinstance(d, Var):  # e is then a cons
+            return occurs_in(d, e.left, "reflexive") or occurs_in(
+                d, e.right, "reflexive"
+            )
+    elif mode != "reflexive":
         raise ValueError(f"unknown occurrence mode {mode!r}")
-    if is_atom(e):
-        return False
-    assert isinstance(e, Cons)
-    return occurs_in(d, e.left, "reflexive") or occurs_in(d, e.right, "reflexive")
+    if isinstance(d, Var):
+        return d.name in e.vars
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        if t.size == d.size:
+            if t == d:
+                return True
+        elif t.size > d.size and d.vars <= t.vars:
+            stack += (t.right, t.left)  # bigger than a non-variable: a cons
+    return False
 
 
 def encode_tuple(items: list[Expr]) -> Expr:

@@ -48,12 +48,13 @@ def _golden():
 
 def _dapply(e: Expr, sol: dict[str, Expr]) -> Expr:
     # local substitution application so the oracle shares no logic with
-    # the derived program beyond the data types
+    # the derived program beyond the data types; a subtree whose variables
+    # sol does not bind is kept as it is
+    if e.vars.isdisjoint(sol):
+        return e
     if isinstance(e, Var):
-        return sol.get(e.name, e)
-    if isinstance(e, Cons):
-        return Cons(_dapply(e.left, sol), _dapply(e.right, sol))
-    return e
+        return sol[e.name]
+    return Cons(_dapply(e.left, sol), _dapply(e.right, sol))
 
 
 def _dbind(sol: dict[str, Expr], name: str, image: Expr) -> None:

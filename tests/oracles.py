@@ -3,7 +3,9 @@
 Each one decides a property by a different route than the code under
 test: the derived unification algorithm transcribed by hand, refuting
 most-general idempotence with sampled unifiers, probing a relation for
-strictness on sampled pairs, and weak generality by matching.
+strictness on sampled pairs, weak generality by matching, and an
+expression's variables, size and subexpressions by recursion instead of
+the attributes each node keeps.
 """
 
 from __future__ import annotations
@@ -131,3 +133,34 @@ def weakly_more_general(s1: Proper, s2: Proper) -> Optional[Proper]:
     if compose(s1, witness) == s2:
         return witness
     return None
+
+
+def recursive_vars(e: Expr) -> frozenset[str]:
+    """The variable names of e, collected by walking it."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Const):
+        return frozenset()
+    return recursive_vars(e.left) | recursive_vars(e.right)
+
+
+def recursive_size(e: Expr) -> int:
+    """The constants and conses of e, counted by walking it."""
+    if isinstance(e, Var):
+        return 0
+    if isinstance(e, Const):
+        return 1
+    return 1 + recursive_size(e.left) + recursive_size(e.right)
+
+
+def recursive_occurs(d: Expr, e: Expr, mode: str = "proper") -> bool:
+    """The occurrence relation by its definition: d is e (reflexive mode
+    only), or d occurs reflexively in a component of e."""
+    if mode == "reflexive" and d == e:
+        return True
+    if is_atom(e):
+        return False
+    assert isinstance(e, Cons)
+    return recursive_occurs(d, e.left, "reflexive") or recursive_occurs(
+        d, e.right, "reflexive"
+    )

@@ -295,6 +295,15 @@ def test_check_formula_on_a_deep_term():
         L.check_formula(Atom("is-var", (Apply("cons", (t, Apply("th0"))),)), sig)
 
 
+def test_check_formula_names_a_deep_ill_sorted_term_by_its_head():
+    t = Apply("e1")
+    for _ in range(10_000):
+        t = Apply("cons", (t, Apply("e1")))
+    # the message quotes the term by its head and arity, not its full text
+    with pytest.raises(SortError, match=r"^expected sort subst, got expr in \(cons _ _\)$"):
+        L.check_formula(Atom("is-proper", (t,)), sig_with_params())
+
+
 def test_rename_metavars_round_trip():
     f = parse_formula("(mgiu TH0 E1 E2 TH)")
     renamed = rename_metavars(f, {"TH0": "A", "TH": "B"})

@@ -29,7 +29,7 @@ rngs = st.integers(0, 10**9).map(random.Random)
 
 def test_make_subst():
     s = make_subst([("X", Const("a")), ("Y", Const("b"))])
-    assert s.mapping() == {"X": Const("a"), "Y": Const("b")}
+    assert dict(s.bindings) == {"X": Const("a"), "Y": Const("b")}
     assert make_subst([("X", Var("X"))]) == EMPTY
     with pytest.raises(DuplicateVariableError):
         make_subst([("X", Const("a")), ("X", Const("b"))])
@@ -201,3 +201,42 @@ def test_distributivity_over_tuples(rng):
     items = [rand_expr(rng, 2) for _ in range(rng.randint(0, 4))]
     s = rand_subst(rng)
     assert apply(encode_tuple(items), s) == encode_tuple([apply(i, s) for i in items])
+
+
+@given(rngs)
+def test_misses_is_leaving_unchanged(rng):
+    e = rand_expr(rng)
+    for s in (rand_subst(rng), EMPTY, BOT):
+        assert misses(s, e) == (apply(e, s) == e)
+    assert misses(BOT, BLACK_HOLE)
+
+
+@given(rngs)
+def test_apply_shares_what_it_does_not_change(rng):
+    e, s = rand_expr(rng), rand_subst(rng)
+    if vars_of(e).isdisjoint(dom_of(s)):
+        assert apply(e, s) is e
+    if isinstance(e, Cons):
+        out = apply(e, s)
+        for old, new in ((e.left, out.left), (e.right, out.right)):
+            if vars_of(old).isdisjoint(dom_of(s)):
+                assert new is old
+
+
+def test_cached_support_matches_the_bindings():
+    s = parse_subst("{X -> (W . a), Y -> (X . b), Z -> W}")
+    assert s.map == dict(s.bindings)
+    assert s.domain == dom_of(s) == {"X", "Y", "Z"}
+    assert s.range == range_of(s) == {"X", "W"}
+    assert s == make_subst(s.bindings) and hash(s) == hash(make_subst(s.bindings))
+    assert repr(s) == "{X -> (W . a), Y -> (X . b), Z -> W}"
+
+
+def test_misses_on_a_deep_expression():
+    e = Var("Z")
+    for _ in range(10_000):
+        e = Cons(e, Const("c"))
+    assert misses(parse_subst("{X -> a}"), e)
+    assert not misses(parse_subst("{Z -> a}"), e)
+    assert not misses(BOT, e)
+    assert apply(e, parse_subst("{X -> a}")) is e

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tabsynth import term
 from tabsynth.term import (
     BLACK_HOLE,
     NIL,
@@ -23,6 +25,7 @@ from tabsynth.term import (
 )
 
 from genlib import rand_expr
+from oracles import recursive_occurs, recursive_size, recursive_vars
 
 exprs = st.recursive(
     st.one_of(
@@ -128,3 +131,75 @@ def test_round_trip_bulk():
     for _ in range(10000):
         e = rand_expr(rng, depth=8, atom_bias=0.55)
         assert parse_expr(print_expr(e)) == e
+
+
+rngs = st.integers(0, 10**9).map(random.Random)
+
+
+@given(rngs)
+def test_cached_vars_and_size_match_a_walk(rng):
+    e = rand_expr(rng, depth=6)
+    assert e.vars == recursive_vars(e) == vars_of(e)
+    assert e.size == recursive_size(e) == size_of(e)
+
+
+@given(exprs, exprs)
+def test_occurrence_matches_its_definition(d, e):
+    for mode in ("proper", "reflexive"):
+        assert occurs_in(d, e, mode) == recursive_occurs(d, e, mode)
+
+
+@given(rngs)
+def test_occurrence_of_a_subtree_matches_its_definition(rng):
+    # d drawn from inside e, so that occurrences are common
+    e = rand_expr(rng, depth=6, atom_bias=0.2)
+    d = e
+    while not is_atom(d) and rng.random() < 0.7:
+        d = d.left if rng.random() < 0.5 else d.right
+    for x, y in ((d, e), (e, d)):
+        for mode in ("proper", "reflexive"):
+            assert occurs_in(x, y, mode) == recursive_occurs(x, y, mode)
+
+
+@given(exprs)
+def test_cached_fields_do_not_change_equality_hash_or_repr(e):
+    # a parsed Cons and one built by hand from fresh atoms
+    def rebuild(x):
+        if isinstance(x, Cons):
+            return Cons(rebuild(x.left), rebuild(x.right))
+        return type(x)(x.name)
+
+    parsed, built = parse_expr(print_expr(e)), rebuild(e)
+    assert parsed == built == e
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+    assert "vars" not in repr(built) and "size" not in repr(built)
+
+
+def test_occurrence_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        occurs_in(Var("X"), Var("X"), "sideways")
+
+
+def test_deep_expression_attributes_do_not_recurse():
+    e = Var("Z")
+    for _ in range(10_000):
+        e = Cons(e, Const("c"))
+    assert vars_of(e) == {"Z"}
+    assert size_of(e) == 20_000
+    assert occurs_in(Var("Z"), e)
+    assert not occurs_in(Var("Y"), e, "reflexive")
+    assert occurs_in(Const("c"), e)
+    assert not occurs_in(Const("d"), e, "reflexive")
+
+
+def test_variable_sets_are_shared_but_not_kept_alive():
+    x, y = Var("Xgone"), Var("Ygone")
+    assert term._VAR_SETS["Xgone"] is x.vars
+    assert Var("Xgone").vars is x.vars  # one set per name while it is used
+    pair = Cons(x, Cons(Const("a"), y))
+    assert Cons(y, x).vars is pair.vars == {"Xgone", "Ygone"}
+    del x, y, pair
+    gc.collect()
+    assert "Xgone" not in term._VAR_SETS
+    assert frozenset({"Xgone", "Ygone"}) not in term._VAR_SETS
