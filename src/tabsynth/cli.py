@@ -13,6 +13,7 @@ or any other internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -60,6 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         return INTERNAL
 
 
+@functools.cache  # built once: main may be called many times in one process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabsynth", description="deductive-tableau synthesis toolkit"

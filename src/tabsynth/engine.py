@@ -28,6 +28,7 @@ from .tableau import (
     TableauError,
     equal_up_to_renaming,
 )
+from .term import ExprError, read_sexp
 from .wf import RelSpec, parse_relspec
 
 
@@ -67,7 +68,7 @@ def load_theory(text: str) -> Theory:
             theory.lemmas[name] = L.parse_formula(body, theory.signature)
         elif kind == "wfrel":
             name, body = fields
-            theory.relations[name] = parse_relspec(L.read_sexp(body))
+            theory.relations[name] = parse_relspec(read_sexp(body))
             theory.signature.add_constant(name, "rel")
         elif kind == "spec":
             spec = _parse_spec(entry.split(None, 1)[1], theory.signature)
@@ -166,7 +167,7 @@ def replay(
                 made = apply_step(tableau, _parse_step(cmd.text, tableau.sig))
             elif (program := tableau.extract_program()) is None:
                 raise NoFinalRowError("no final row")
-        except (TableauError, L.LogicError, EngineError, ValueError) as exc:
+        except (TableauError, L.LogicError, ExprError, EngineError, ValueError) as exc:
             raise StepFailedError(idx, cmd.line_no, cmd.text, exc) from exc
         if trace:
             for row in made:

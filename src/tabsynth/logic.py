@@ -24,8 +24,8 @@ class LogicError(Exception):
     pass
 
 
-class FormulaSyntaxError(LogicError):
-    pass
+# the reader's error: one class for every text that does not read
+FormulaSyntaxError = _term.ExprSyntaxError
 
 
 class SortError(LogicError):
@@ -165,14 +165,6 @@ class MetaVar:
 
 
 @dataclass(frozen=True)
-class Literal:
-    """An embedded ground value (an Expr or a Subst)."""
-
-    value: object
-    sort: str
-
-
-@dataclass(frozen=True)
 class Apply:
     fn: str
     args: tuple["LTerm", ...] = ()
@@ -185,7 +177,7 @@ class Cond:
     els: "LTerm"
 
 
-LTerm = Union[MetaVar, Literal, Apply, Cond]
+LTerm = Union[MetaVar, Apply, Cond]
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,7 @@ class Eq:
 
 Formula = Union[TrueF, FalseF, Atom, Not, And, Or, Implies, Iff, Eq]
 Node = Union[Formula, LTerm]
-_TERM_TYPES = (MetaVar, Literal, Apply, Cond)
+_TERM_TYPES = (MetaVar, Apply, Cond)
 
 TRUE = TrueF()
 FALSE = FalseF()
@@ -255,7 +247,6 @@ _SHAPES: dict[type, tuple[Callable, Optional[Callable]]] = {
     TrueF: _LEAF,
     FalseF: _LEAF,
     MetaVar: _LEAF,
-    Literal: _LEAF,
     Apply: (lambda n: n.args, lambda n, k: Apply(n.fn, k)),
     Cond: (lambda n: (n.test, n.then, n.els), lambda n, k: Cond(*k)),
     Atom: (lambda n: n.args, lambda n, k: Atom(n.pred, k)),
@@ -298,11 +289,11 @@ def map_node(node: Node, leaf: Callable[[Node], Optional[Node]]) -> Node:
 
 
 # node type -> the field that tells nodes of that type apart beyond arity
-_LABELS = {Atom: "pred", Apply: "fn", Literal: "value"}
+_LABELS = {Atom: "pred", Apply: "fn"}
 
 
 def head(node: Node) -> tuple:
-    """The node's type with its predicate, function symbol or literal value."""
+    """The node's type with its predicate or function symbol."""
     typ = type(node)
     return (typ, getattr(node, _LABELS[typ])) if typ in _LABELS else (typ,)
 
@@ -369,7 +360,7 @@ def _sort_walk(node: Node, sig: Signature, env: dict[str, str] | None = None):
         n, want = stack.pop()
         yield n, want
         typ = type(n)
-        if typ is MetaVar or typ is Literal:
+        if typ is MetaVar:
             continue
         kids = _SHAPES[typ][0](n)
         if typ is Atom or typ is Apply:
@@ -412,34 +403,7 @@ def _brief(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # reading, building and printing
 
-_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _METAVAR = re.compile(r"[A-Z][A-Za-z0-9_#']*")
-
-Sexp = Union[str, list]
-
-
-def read_sexp(text: str) -> Sexp:
-    """The single datum in text: a token, or a list of data per parenthesis.
-
-    Nesting is kept on an explicit stack, so deep input does not recurse.
-    """
-    stack: list[list] = [[]]
-    for tok in _TOKEN.findall(text):
-        if tok == "(":
-            stack.append([])
-        elif tok != ")":
-            stack[-1].append(tok)
-        elif len(stack) > 1:
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            raise FormulaSyntaxError("unexpected ')'")
-    if len(stack) > 1:
-        raise FormulaSyntaxError("unclosed '('")
-    if len(stack[0]) != 1:
-        raise FormulaSyntaxError("more than one datum" if stack[0] else "empty input")
-    return stack[0][0]
-
 
 # connective -> (node type, kinds of its children: "f" formula, "t" term;
 # None for one or more formulas)
@@ -460,20 +424,20 @@ _KINDS = {"f": "formula", "t": "term"}
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     sig = sig or default_signature()
-    return _resolve_sorts(_build(read_sexp(text), "f", sig), sig)
+    return _resolve_sorts(_build(_term.read_sexp(text), "f", sig), sig)
 
 
 def parse_term(text: str, sig: Signature | None = None) -> LTerm:
-    return build_term(read_sexp(text), sig)
+    return build_term(_term.read_sexp(text), sig)
 
 
-def build_term(datum: Sexp, sig: Signature | None = None) -> LTerm:
+def build_term(datum: _term.Sexp, sig: Signature | None = None) -> LTerm:
     """The term a datum of read_sexp denotes, with metavar sorts inferred."""
     sig = sig or default_signature()
     return _resolve_sorts(_build(datum, "t", sig), sig)
 
 
-def _build(datum: Sexp, kind: str, sig: Signature) -> Node:
+def _build(datum: _term.Sexp, kind: str, sig: Signature) -> Node:
     """The node a datum denotes as a formula (kind "f") or a term ("t")."""
     if isinstance(datum, str):
         return _build_token(datum, kind, sig)
@@ -549,11 +513,6 @@ def print_formula(node: Node) -> str:
     typ = type(node)
     if typ is MetaVar:
         return node.name
-    if typ is Literal:
-        value = node.value
-        if isinstance(value, (_subst.Proper, _subst.Failure)):
-            return f"'{_subst.print_subst(value)}'"
-        return f"'{_term.print_expr(value)}'"
     head = _label(node)
     kids = _SHAPES[typ][0](node)
     if not kids and typ is not Atom:

@@ -12,6 +12,7 @@ the relation the program records.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Callable, Sequence
 
 from . import logic as L
@@ -39,8 +40,8 @@ class PrimitiveError(ProgramError):
     pass
 
 
-class FuelExhaustedError(Exception):
-    """Recursion budget ran out (possible with a non-idempotent environment)."""
+class FuelExhaustedError(RecursionError):
+    """Recursion budget ran out: the fuel, or Python's recursion limit."""
 
 
 Value = object  # Expr | Subst | frozenset[str] | int | bool | InputTriple
@@ -56,11 +57,12 @@ def interpret(
 ) -> Value:
     """Run p on the given argument values.
 
-    fuel bounds the number of self-calls.  With check_decrease set (and
-    a decrease relation recorded on p), every self-call must be strictly
-    smaller than its parent under that relation; each call's arguments
-    are measured once.  `calls` collects (parent_args, child_args) pairs
-    when provided.
+    fuel bounds the number of self-calls, and Python's recursion limit
+    their depth; FuelExhaustedError says which ran out.  With
+    check_decrease set (and a decrease relation recorded on p), every
+    self-call must be strictly smaller than its parent under that
+    relation; each call's arguments are measured once.  `calls` collects
+    (parent_args, child_args) pairs when provided.
     """
     if len(args) != len(p.params):
         raise ProgramError(f"{p.name} expects {len(p.params)} arguments")
@@ -98,6 +100,11 @@ def interpret(
         return fn(hook(top), *args)
     except (T.ExprError, S.SubstError) as exc:
         raise PrimitiveError(str(exc)) from exc
+    except FuelExhaustedError:
+        raise
+    except RecursionError:
+        limit = f"Python recursion limit ({sys.getrecursionlimit()})"
+        raise FuelExhaustedError(f"{p.name}: {limit} reached") from None
 
 
 def _run(fn: Callable, *args) -> Value:
@@ -163,7 +170,7 @@ def _relation(rels: dict, name: str):
 class _Source:
     """Python source for one body over named runtime values.
 
-    Values the source refers to (primitive meanings, literals) are bound
+    Values the source refers to (primitive meanings, constants) are bound
     in `namespace` under names starting with an underscore.
     """
 
@@ -186,14 +193,10 @@ class _Source:
         if isinstance(t, Cond):
             then, els = self.term(t.then), self.term(t.els)
             return f"({then} if {self.formula(t.test)} else {els})"
-        if isinstance(t, L.Literal):
-            return self._bind(t.value)
         if isinstance(t, MetaVar):
             if t.name not in self.variables:
                 raise ProgramError(f"unbound metavar {t.name}")
             return self.variables[t.name]
-        if not isinstance(t, Apply):
-            raise ProgramError(f"cannot evaluate {t!r}")
         args = [self.term(a) for a in t.args]
         if t.fn == self.self_name:
             parent = ", ".join(self.variables.values())
@@ -295,8 +298,8 @@ def _pp_term(t: LTerm, indent: int) -> str:
 def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
     """Parse `(define (name params...) body)`; params get default sorts."""
     try:
-        datum = L.read_sexp(text)
-    except L.FormulaSyntaxError as exc:
+        datum = T.read_sexp(text)
+    except T.ExprSyntaxError as exc:
         raise ProgramError(f"program text: {exc}") from exc
     if not (
         isinstance(datum, list)

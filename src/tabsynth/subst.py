@@ -15,8 +15,9 @@ from .term import (
     Cons,
     Expr,
     Var,
-    parse_expr,
+    build_expr,
     print_expr,
+    read_sexp,
     shared_varset,
 )
 
@@ -183,36 +184,30 @@ def print_subst(s: Subst) -> str:
 
 
 def parse_subst(text: str) -> Subst:
-    """Parse '{}', 'bot' or '{X -> a, Y -> (b . Z)}'."""
+    """Parse '{}', 'bot' or '{X -> a, Y -> (b . Z)}'.
+
+    The braces' content is read as one list and split at ',' tokens.
+    """
     stripped = text.strip()
     if stripped == "bot":
         return BOT
-    if not (stripped.startswith("{") and stripped.endswith("}")):
+    if len(stripped) < 2 or stripped[0] != "{" or stripped[-1] != "}":
         raise SubstError(f"not a substitution: {text!r}")
-    body = stripped[1:-1].strip()
+    body = read_sexp(f"({stripped[1:-1]})")  # positions as in stripped
     if not body:
         return EMPTY
+    bindings: list[list] = [[]]
+    for item in body:
+        if item == ",":
+            bindings.append([])
+        else:
+            bindings[-1].append(item)
     pairs = []
-    for part in _split_bindings(body):
-        if "->" not in part:
-            raise SubstError(f"missing '->' in binding {part!r}")
-        name, image = part.split("->", 1)
-        name = name.strip()
-        if not name or not name[0].isupper():
-            raise SubstError(f"bound name {name!r} is not a variable")
-        pairs.append((name, parse_expr(image.strip())))
+    for i, binding in enumerate(bindings, start=1):
+        if len(binding) != 3 or binding[1] != "->":
+            raise SubstError(f"binding {i} is not 'variable -> expression'")
+        name = build_expr(binding[0])
+        if not isinstance(name, Var):
+            raise SubstError(f"bound name {print_expr(name)} is not a variable")
+        pairs.append((name.name, build_expr(binding[2])))
     return make_subst(pairs)
-
-
-def _split_bindings(body: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return parts

@@ -404,7 +404,7 @@ class Tableau:
             raise BadPathError(f"row {rid1} at {path1} is not {node_type.__name__}")
         f2, out2 = self._rename_apart(row1, row2)
         target = L.get_at(f2, p2)
-        if node_type is Eq and not isinstance(target, (MetaVar, Apply, Cond, L.Literal)):
+        if node_type is Eq and not isinstance(target, (MetaVar, Apply, Cond)):
             raise BadPathError("equality replacement needs a term occurrence")
         if node_type is Iff and not isinstance(
             target, (Atom, Eq, Not, And, Or, Implies, Iff, TrueF, FalseF)

@@ -1,4 +1,4 @@
-"""Symbolic expressions: binary trees of constants and variables.
+"""Symbolic expressions, and the one reader of every text of the package.
 
 An expression is a constant, a variable, or a cons pair of two
 expressions.  Identifiers starting with an uppercase letter are
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import ClassVar, NoReturn, Union
 
 
 class ExprError(Exception):
@@ -19,8 +19,10 @@ class ExprError(Exception):
 
 
 class ExprSyntaxError(ExprError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+    """Text that does not read; pos is where, when the reader knows it."""
+
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
 
 
@@ -177,67 +179,104 @@ def encode_tuple(items: list[Expr]) -> Expr:
     return out
 
 
+# ( ) . , * and -> are tokens of their own; any other run of non-space
+# characters is one token, a '-' not followed by '>' included
+_TOKEN = re.compile(r"(?:[^\s().,*-]+|-(?!>))+|->|[().,*]")
+
+Sexp = Union[str, list]
+
+
+def read_sexp(text: str) -> Sexp:
+    """The single datum in text: a token, or a list of data per parenthesis.
+
+    A list that holds a '.' must be a dotted pair, exactly (x . y).
+    Nesting is kept on an explicit stack, so deep input does not recurse.
+    """
+    tokens = _TOKEN.findall(text)
+    stack: list[list] = [[]]
+    opened: list[int] = []  # the token index of each '(' still open
+    for k, tok in enumerate(tokens):
+        if not opened and stack[0] and tok != ")":
+            _fail("more than one datum", text, k)
+        if tok == "(":
+            stack.append([])
+            opened.append(k)
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif not opened:
+            _fail("unexpected ')'", text, k)
+        else:
+            done = stack.pop()
+            opened.pop()
+            if "." in done and [x == "." for x in done] != [False, True, False]:
+                _fail("'.' must stand between two data", text, k)
+            stack[-1].append(done)
+    if opened:
+        _fail("unclosed '('", text, opened[-1])
+    if not stack[0]:
+        _fail("empty input", text, 0)
+    return stack[0][0]
+
+
+def _fail(message: str, text: str, k: int) -> NoReturn:
+    """Raise ExprSyntaxError at the k-th token of text, or at its end."""
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    raise ExprSyntaxError(message, starts[k])
+
+
 def parse_expr(text: str) -> Expr:
     """Parse the expression grammar.
 
     expr := atom | "(" expr "." expr ")" | "(" expr+ ")"
     where the list form (e1 ... en) abbreviates (e1 . ( ... (en . nil))).
     """
-    expr, pos = _parse(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ExprSyntaxError("trailing input", pos)
-    return expr
+    return build_expr(read_sexp(text))
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+def build_expr(datum: Sexp) -> Expr:
+    """The expression a datum of read_sexp denotes.
 
-
-def _parse(text: str, pos: int) -> tuple[Expr, int]:
-    if pos >= len(text):
-        raise ExprSyntaxError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == "(":
-        return _parse_pair_or_list(text, pos)
-    if ch == "*":
-        return BLACK_HOLE, pos + 1
-    m = _IDENT.match(text, pos)
-    if not m:
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    name = m.group(0)
-    if name[0].isupper():
-        return Var(name), m.end()
-    return Const(name), m.end()
-
-
-def _parse_pair_or_list(text: str, pos: int) -> tuple[Expr, int]:
-    open_pos = pos
-    pos = _skip_ws(text, pos + 1)
-    first, pos = _parse(text, pos)
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == ".":
-        pos = _skip_ws(text, pos + 1)
-        second, pos = _parse(text, pos)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise ExprSyntaxError("expected ')'", pos)
-        return Cons(first, second), pos + 1
-    items = [first]
-    while True:
-        if pos >= len(text):
-            raise ExprSyntaxError("unclosed '('", open_pos)
-        if text[pos] == ")":
-            return encode_tuple(items), pos + 1
-        item, pos = _parse(text, pos)
-        items.append(item)
-        pos = _skip_ws(text, pos)
+    A dotted pair is a cons and a list its tuple encoding; * is the black
+    hole, and a name is a variable if it starts with an uppercase letter,
+    else a constant.  Built on an explicit stack, so deep data do not
+    recurse.
+    """
+    built: list[Expr] = []
+    stack: list[tuple[Sexp, bool]] = [(datum, False)]
+    while stack:
+        d, ready = stack.pop()
+        if d == "*":
+            built.append(BLACK_HOLE)
+        elif isinstance(d, str):
+            if not _IDENT.fullmatch(d):
+                raise ExprSyntaxError(f"unexpected token {d!r}")
+            built.append(Var(d) if d[0].isupper() else Const(d))
+        elif not ready:
+            if not d:
+                raise ExprSyntaxError("'()' is not an expression")
+            stack.append((d, True))
+            stack.extend((x, False) for x in reversed(d) if x != ".")
+        elif len(d) == 3 and d[1] == ".":
+            right = built.pop()
+            built[-1] = Cons(built[-1], right)
+        else:
+            items = built[-len(d) :]
+            del built[-len(d) :]
+            built.append(encode_tuple(items))
+    return built[0]
 
 
 def print_expr(e: Expr) -> str:
-    """Render e in the canonical dotted-pair form."""
-    if isinstance(e, (Const, Var)):
-        return e.name
-    return f"({print_expr(e.left)} . {print_expr(e.right)})"
+    """Render e in the canonical dotted-pair form, without recursing."""
+    out: list[str] = []
+    stack: list[Expr | str] = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Cons:
+            out.append("(")
+            stack += (")", x.right, " . ", x.left)
+        else:
+            out.append(x.name)
+    return "".join(out)

@@ -167,7 +167,7 @@ def u_less(m1: tuple[frozenset[str], int], m2: tuple[frozenset[str], int]) -> bo
 
 
 def parse_relspec(datum) -> RelSpec:
-    """Build a RelSpec from its s-expression (see logic.read_sexp).
+    """Build a RelSpec from its s-expression (see term.read_sexp).
 
     Grammar: a base name, `(base)`, `(lex r r ...)`,
     `(induced <projection> r)` or `(reflexive r)`.

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tabsynth import cli
 from tabsynth.cli import main
 from tabsynth.subst import parse_subst, print_subst
 from tabsynth.term import print_expr
@@ -143,12 +148,14 @@ def test_unify_fuel_exhaustion_exit_code(capsys):
     assert code == 3
 
 
-def test_unexpected_exception_exit_code(capsys):
-    deep = "Z"
-    for _ in range(600):
-        deep = f"({deep} . c)"
-    assert main(["unify", "X", deep]) == 3
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "reference_unify", broken)
+    assert main(["unify", "X", "a"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: RuntimeError: boom"]
 
 
 def test_fuel_counts_self_calls_on_unify_and_run(capsys):
@@ -199,3 +206,85 @@ def test_replay_trace_is_unchanged(capsys):
     assert len(out.splitlines()) == 160
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "61ce8462e5ab497ad0a4d5a7356ac9da7adb1c1b8aabf0f6aa89e2d4cc03f097"
+
+
+def test_bound_names_must_be_variables(capsys):
+    for env in ("{X Y -> a}", "{X-1 -> a}", "{X( -> a}"):
+        assert main(["unify", "--env", env, "X", "b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (env, err)
+
+
+def test_looping_environment_names_the_recursion_limit(capsys):
+    assert main(["unify", "X", "Y", "--env", "{X -> Y, Y -> X}"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unify: Python recursion limit")
+    deep = "(c . " * 2000 + "Z" + ")" * 2000
+    assert main(["unify", deep, deep.replace("Z", "W")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "recursion limit" in err[0]
+
+
+def test_unify_deep_left_nested_expression(capsys):
+    deep = "(" * 10_000 + "Z" + " . c)" * 10_000
+    code, out = run_cli(capsys, "unify", "X", deep)
+    assert code == 0
+    assert print_expr(parse_subst(out).map["X"]) == deep
+
+
+# what a mutation puts in; '->' is one piece, as it is one token
+_PIECES = [".", "(", ")", ",", "->", "{", "}", "*", "X", "a", "#"]
+# the seeds' names are one letter, so each non-space character is a token
+_SEEDS = {
+    "e1": "(X . (a b))",
+    "e2": "(a . Y)",
+    "env": "{Z -> (b . W)}",
+    "candidate": "{X -> a, Y -> (a b), Z -> (b . W)}",
+}
+
+
+@st.composite
+def _mutated(draw):
+    """The seed texts, one or two of them mutated a few times, token by token."""
+    texts = dict(_SEEDS)
+    for key in draw(st.lists(st.sampled_from(sorted(_SEEDS)), min_size=1, max_size=2)):
+        units = re.findall(r"->|\S", texts[key])
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(units)))
+            op = draw(st.sampled_from(["insert", "replace", "delete", "duplicate"]))
+            if op == "insert":
+                units.insert(i, draw(st.sampled_from(_PIECES)))
+            elif i < len(units) and op == "replace":
+                units[i] = draw(st.sampled_from(_PIECES))
+            elif i < len(units) and op == "delete":
+                del units[i]
+            elif i < len(units):
+                units.insert(i, units[i])
+        texts[key] = draw(st.sampled_from([" ", ""])).join(units)
+    return texts
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated())
+def test_mutated_texts_exit_cleanly(texts):
+    env, e1, e2 = f"--env={texts['env']}", texts["e1"], texts["e2"]
+    runs = [
+        ["unify", env, "--", e1, e2],
+        ["check-mgiu", env, "--", e1, e2, texts["candidate"]],
+    ]
+    for argv in runs:
+        code, err = _run_quietly(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "internal error" not in err and "Traceback" not in err, (argv, err)
+        if code == 2:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)

@@ -26,7 +26,6 @@ from tabsynth.logic import (
     parse_path,
     parse_term,
     print_formula,
-    read_sexp,
     replace_at,
     rename_metavars,
     term_unify,
@@ -113,18 +112,6 @@ def test_sort_inference_is_order_independent():
     }
 
 
-def test_read_sexp():
-    assert read_sexp(" (a (b c) () d) ") == ["a", ["b", "c"], [], "d"]
-    assert read_sexp("X:expr") == "X:expr"
-    for text in ("(", "(a (b)", ")", "(a))", "", "  ", "a b", "(a) (b)"):
-        with pytest.raises(FormulaSyntaxError):
-            read_sexp(text)
-    deep = read_sexp("(" * 100_000 + ")" * 100_000)  # no recursion while reading
-    for _ in range(99_999):
-        deep = deep[0]
-    assert deep == []
-
-
 def test_truncated_input_is_a_syntax_error():
     for text in ("(", "(cons", "(cons X:expr", "(if (is-var X:expr) X"):
         with pytest.raises(FormulaSyntaxError):
@@ -179,18 +166,6 @@ def test_term_unify_occurs_check():
 def test_term_unify_self():
     f = parse_formula("(idem TH:subst)")
     assert term_unify(f, f) == {}
-
-
-def test_term_unify_compares_literals_by_value():
-    from tabsynth.subst import EMPTY
-    from tabsynth.term import Const
-
-    a, b = L.Literal(Const("a"), "expr"), L.Literal(Const("b"), "expr")
-    assert term_unify(a, b) is None
-    assert term_unify(a, L.Literal(EMPTY, "subst")) is None
-    assert term_unify(Atom("is-var", (a,)), Atom("is-var", (b,))) is None
-    assert term_unify(a, L.Literal(Const("a"), "expr")) == {}
-    assert term_unify(Atom("is-var", (a,)), Atom("is-var", (a,))) == {}
 
 
 def test_term_unify_idempotent():

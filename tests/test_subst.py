@@ -11,6 +11,7 @@ from tabsynth.subst import (
     compose,
     dom_of,
     is_idempotent,
+    SubstError,
     make_subst,
     misses,
     more_general,
@@ -19,9 +20,19 @@ from tabsynth.subst import (
     range_of,
     replacement,
 )
-from tabsynth.term import BLACK_HOLE, Cons, Const, Var, occurs_in, parse_expr, vars_of
+from tabsynth.term import (
+    BLACK_HOLE,
+    Cons,
+    Const,
+    ExprError,
+    Var,
+    occurs_in,
+    parse_expr,
+    print_expr,
+    vars_of,
+)
 
-from genlib import rand_expr, rand_subst
+from genlib import rand_expr, rand_subst, spaced_subst_text
 from oracles import weakly_more_general
 
 rngs = st.integers(0, 10**9).map(random.Random)
@@ -117,6 +128,37 @@ def test_subst_equal():
 def test_parse_print_round_trip():
     for text in ("{}", "bot", "{X -> a, Y -> (b . Z)}"):
         assert print_subst(parse_subst(text)) == text
+
+
+@given(rngs)
+def test_print_then_parse_is_identity(rng):
+    s = BOT if rng.random() < 0.1 else rand_subst(rng, depth=3)
+    assert parse_subst(print_subst(s)) == s
+    assert parse_subst(spaced_subst_text(s, rng)) == s
+
+
+def test_parse_keeps_the_old_readings():
+    assert parse_subst("{X->a,Y->(b.Z)}") == parse_subst("{X -> a, Y -> (b . Z)}")
+    assert parse_subst(" {  } ") == EMPTY
+    assert parse_subst("{X -> (a*), Y -> X#3}") == make_subst(
+        [("X", parse_expr("(a *)")), ("Y", Var("X#3"))]
+    )
+
+
+def test_bound_names_must_be_variables():
+    bad = ["{X Y -> a}", "{X-1 -> a}", "{X( -> a}", "{a -> b}", "{(X) -> a}"]
+    bad += ["{X -> a,}", "{X -> a b}", "{X a}", "{X -> (a , b)}", "{", "X -> a"]
+    for text in bad:
+        with pytest.raises((SubstError, ExprError)):
+            parse_subst(text)
+
+
+def test_deep_image_reads_and_prints_without_recursing():
+    image = "(c . " * 10_000 + "Z" + ")" * 10_000
+    s = parse_subst("{X -> " + image + "}")
+    assert s.range == {"Z"} and s.map["X"].size == 20_000
+    assert print_subst(s) == "{X -> " + image + "}"
+    assert print_expr(parse_subst(print_subst(s)).map["X"]) == image
 
 
 @given(rngs)

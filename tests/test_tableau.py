@@ -576,7 +576,7 @@ def _term_paths(f):
             for i, kid in enumerate(L.children(node), start=1):
                 out.append(path + (i,))
             return
-        if isinstance(node, (L.MetaVar, L.Literal, Apply, Cond)):
+        if isinstance(node, (L.MetaVar, Apply, Cond)):
             return
         for i, kid in enumerate(L.children(node), start=1):
             walk(kid, path + (i,))
@@ -589,7 +589,7 @@ def _iff_paths(f):
     def walk(node, path):
         if isinstance(node, L.Iff):
             yield path, node
-        if isinstance(node, (Atom, L.Eq, L.MetaVar, L.Literal, Apply, Cond)):
+        if isinstance(node, (Atom, L.Eq, L.MetaVar, Apply, Cond)):
             return
         for i, kid in enumerate(L.children(node), start=1):
             yield from walk(kid, path + (i,))

@@ -19,12 +19,13 @@ from tabsynth.term import (
     occurs_in,
     parse_expr,
     print_expr,
+    read_sexp,
     right_of,
     size_of,
     vars_of,
 )
 
-from genlib import rand_expr
+from genlib import rand_expr, spaced_text
 from oracles import recursive_occurs, recursive_size, recursive_vars
 
 exprs = st.recursive(
@@ -203,3 +204,58 @@ def test_variable_sets_are_shared_but_not_kept_alive():
     gc.collect()
     assert "Xgone" not in term._VAR_SETS
     assert frozenset({"Xgone", "Ygone"}) not in term._VAR_SETS
+
+
+def test_read_sexp():
+    assert read_sexp(" (a (b c) () d) ") == ["a", ["b", "c"], [], "d"]
+    assert read_sexp("X:expr") == "X:expr"
+    for text in ("(", "(a (b)", ")", "(a))", "", "  ", "a b", "(a) (b)"):
+        with pytest.raises(ExprSyntaxError):
+            read_sexp(text)
+    deep = read_sexp("(" * 100_000 + ")" * 100_000)  # no recursion while reading
+    for _ in range(99_999):
+        deep = deep[0]
+    assert deep == []
+
+
+def test_read_sexp_splits_the_delimiters():
+    assert read_sexp("(a.b)") == ["a", ".", "b"]
+    assert read_sexp("(X->(a*),Y->b)") == ["X", "->", ["a", "*"], ",", "Y", "->", "b"]
+    assert read_sexp("(is-var u-rel a-)") == ["is-var", "u-rel", "a-"]
+    for text in ("(a . ))", "( . . X)", "(. a)", "(a .)", "(a . b c)", "(a . b . c)"):
+        with pytest.raises(ExprSyntaxError):
+            read_sexp(text)
+
+
+def test_parse_keeps_the_old_readings():
+    assert parse_expr("(a.b)") == parse_expr("(a . b)") == Cons(Const("a"), Const("b"))
+    assert parse_expr("(a*)") == encode_tuple([Const("a"), BLACK_HOLE])
+    assert parse_expr("(X#3 . a)") == Cons(Var("X#3"), Const("a"))
+    for text in ("()", ".", "a b", "(a , b)", "->", "is-var", "(a", "a)"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text)
+
+
+@given(exprs, st.randoms(use_true_random=False))
+def test_spaced_text_reads_back(e, rng):
+    text = spaced_text(e, rng)
+    assert parse_expr(text) == e, text
+
+
+def test_deep_texts_read_and_print_without_recursing():
+    n = 10_000
+    left_text = "(" * n + "Z" + " . c)" * n
+    right_text = "(c . " * n + "Z" + ")" * n
+    list_text = "(" + " c" * n + ")"
+    for text, printed in (
+        (left_text, left_text),
+        (right_text, right_text),
+        (list_text, "(c . " * n + "nil" + ")" * n),
+    ):
+        e = parse_expr(text)
+        assert size_of(e) == 2 * n + (text is list_text)
+        assert print_expr(e) == printed
+    left = Var("Z")
+    for _ in range(n):
+        left = Cons(left, Const("c"))
+    assert print_expr(left) == left_text

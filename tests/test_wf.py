@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tabsynth.logic import read_sexp
 from tabsynth.subst import parse_subst
-from tabsynth.term import Const, Var, parse_expr, size_of, vars_of
+from tabsynth.term import Const, Var, parse_expr, read_sexp, size_of, vars_of
 from tabsynth.wf import (
     Base,
     InducedBy,
