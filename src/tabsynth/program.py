@@ -2,16 +2,16 @@
 
 `compile` turns a program into Python source: the lazy conditional
 becomes a conditional expression, primitives are called strictly from
-`logic.PRIMITIVES`, and self-calls go through a `_self` hook passed in
-by the caller.  `interpret` runs the compiled program over runtime
-values (expressions, substitutions, variable-name sets, integers);
-self-calls consume fuel, and can be checked for strict decrease under
+`logic.PRIMITIVES`, and a self-call is a plain recursive call.  `run`
+executes it; `interpret` first checks the sorts of runtime values.
+Self-calls consume fuel, and can be checked for strict decrease under
 the relation the program records.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from typing import Callable, Sequence
 
@@ -55,7 +55,7 @@ def interpret(
     check_decrease: bool = False,
     calls: list | None = None,
 ) -> Value:
-    """Run p on the given argument values.
+    """Run p on the given argument values, after checking their sorts.
 
     fuel bounds the number of self-calls, and Python's recursion limit
     their depth; FuelExhaustedError says which ran out.  With
@@ -69,49 +69,33 @@ def interpret(
     for value, (name, sort) in zip(args, p.params):
         if not isinstance(value, _SUBSTS if sort == "subst" else _EXPRS):
             raise ProgramError(f"argument {name} is not of sort {sort}")
-    fn = p.compiled
     measure = less = None
     if check_decrease and p.decrease is not None:
         if len(args) != 3:
             raise ProgramError("decrease checking expects (env, e1, e2) arguments")
         measure, less = wf.order(p.decrease)
-
-    def hook(measured):
-        # the self-call hook of a body whose arguments measure `measured`
-        def self_call(parent: list, child: list) -> list:
-            nonlocal fuel
-            if calls is not None:
-                calls.append((parent, child))
-            child_hook = self_call
-            if measure is not None:
-                child_measure = measure(wf.InputTriple(*child))
-                if not less(child_measure, measured):
-                    raise DecreaseViolationError(tuple(parent), tuple(child))
-                child_hook = hook(child_measure)
-            if fuel <= 0:
-                raise FuelExhaustedError(f"{p.name}: fuel exhausted")
-            fuel -= 1
-            return [child_hook, *child]
-
-        return self_call
-
-    top = measure(wf.InputTriple(*args)) if measure is not None else None
-    try:  # _run inline: one Python frame fewer under deep recursion
-        return fn(hook(top), *args)
-    except (T.ExprError, S.SubstError) as exc:
-        raise PrimitiveError(str(exc)) from exc
-    except FuelExhaustedError:
-        raise
-    except RecursionError:
-        limit = f"Python recursion limit ({sys.getrecursionlimit()})"
-        raise FuelExhaustedError(f"{p.name}: {limit} reached") from None
+    if measure is None and calls is None:
+        return run(p, args, fuel)
+    fuel_left = itertools.repeat(None, max(fuel, 0) + 1)
+    return _run(p.name, p.compiled[1], fuel_left, measure, less, calls, None, None, *args)
 
 
-def _run(fn: Callable, *args) -> Value:
+def run(p: ProgramDef, args: Sequence[Value], fuel: int = 10000) -> Value:
+    """Run p, unchecked, on arguments of its sorts; fails as `interpret` does."""
+    # one fuel item per call, the top call's included: it is not a self-call
+    return _run(p.name, p.compiled[0], itertools.repeat(None, max(fuel, 0) + 1), *args)
+
+
+def _run(name: str, fn: Callable, *args) -> Value:
     try:
         return fn(*args)
     except (T.ExprError, S.SubstError) as exc:
         raise PrimitiveError(str(exc)) from exc
+    except StopIteration:  # a call found no fuel left on entry
+        raise FuelExhaustedError(f"{name}: fuel exhausted") from None
+    except RecursionError:
+        limit = f"Python recursion limit ({sys.getrecursionlimit()})"
+        raise FuelExhaustedError(f"{name}: {limit} reached") from None
 
 
 def eval_apply(fn: str, vals: list[Value]) -> Value:
@@ -119,7 +103,7 @@ def eval_apply(fn: str, vals: list[Value]) -> Value:
     prim = L.PRIMITIVES.get(fn)
     if prim is None or prim.result is None:
         raise PrimitiveError(f"unknown function {fn}")
-    return _run(prim.meaning, *vals)
+    return _run(fn, prim.meaning, *vals)
 
 
 def eval_formula(
@@ -131,31 +115,49 @@ def eval_formula(
     to the unification measure.
     """
     fn = _compile_formula(f, tuple(env))
-    return _run(fn, {**_RELATIONS, **(relations or {})}, *env.values())
+    return _run("formula", fn, {**_RELATIONS, **(relations or {})}, *env.values())
 
 
 # ---------------------------------------------------------------------------
 # compilation
 
 
-def compile(p: ProgramDef) -> Callable:
-    """Compile p to a Python function `f(_self, *args)`.
+def compile(p: ProgramDef) -> tuple[Callable, Callable]:
+    """Compile p to its unchecked and checked Python functions.
 
-    A self-call with child arguments c in a call with arguments a runs
-    `f(*_self([a...], [c...]))`, fresh lists each time: the caller's hook
-    keeps its accounts and returns the recursive call's arguments, the
-    hook for that call's own self-calls first.  The recursion itself
-    takes one Python frame per level.
+    `unchecked(fuel, *args)` takes one item of the iterator fuel on entry
+    to each call.  `checked(fuel, measure, less, calls, measured, parent,
+    *args)` also gets its parent's measure and arguments (None at the
+    top); on entry it measures its arguments once, lists the call, raises
+    DecreaseViolationError unless below its parent, and takes its fuel.
     """
     gen = _Source([name for name, _ in p.params], p.name)
-    return gen.function("_self", gen.term(p.body))
+    body = gen.term(p.body)  # no name holds "(", so "_self(" opens only self-calls
+    unchecked = gen.function("_body", "_fuel", "_next(_fuel)", body.replace("_self(", "_body(_fuel, "))
+    args = "".join(f"{v}, " for v in gen.variables.values())
+    # three arguments are packed as the wf.InputTriple a measure reads
+    entry = _CHECKED_ENTRY.format(("_triple" if len(p.params) == 3 else "") + f"({args})")
+    accounts = "_fuel, _measure, _less, _calls"
+    checked_body = body.replace("_self(", f"_checked({accounts}, _m, _args, ")
+    checked = gen.function("_checked", f"{accounts}, _measured, _parent", entry, checked_body)
+    return unchecked, checked
+
+
+_CHECKED_ENTRY = """_args = {}
+    _m = None if _measure is None else _measure(_args)
+    if _parent is not None:  # a self-call, not the top call
+        if _calls is not None:
+            _calls.append((list(_parent), list(_args)))
+        if _measure is not None and not _less(_m, _measured):
+            raise _violation(tuple(_parent), tuple(_args))
+    _next(_fuel)"""
 
 
 @functools.lru_cache(maxsize=256)
 def _compile_formula(f: Formula, names: tuple[str, ...]) -> Callable:
     """Compile f to `f(_rels, *values)` over the named values."""
     gen = _Source(names, None)
-    return gen.function("_rels", gen.formula(f))
+    return gen.function("_body", "_rels", "", gen.formula(f))
 
 
 _RELATIONS = {"u-rel": wf.U_REL}  # known to every formula unless a theory redefines it
@@ -177,12 +179,15 @@ class _Source:
     def __init__(self, variables: Sequence[str], self_name: str | None):
         self.self_name = self_name
         self.variables = {name: f"_v{i}" for i, name in enumerate(variables)}
-        self.namespace: dict[str, object] = {"_rel": _relation, "_rels": _RELATIONS}
+        self.namespace: dict[str, object] = {
+            "_rel": _relation, "_rels": _RELATIONS, "_next": next,
+            "_triple": wf.InputTriple, "_violation": DecreaseViolationError,
+        }
 
-    def function(self, hook: str, body: str) -> Callable:
-        params = ", ".join([hook, *self.variables.values()])
-        exec(f"def _body({params}):\n    return {body}\n", self.namespace)
-        return self.namespace["_body"]  # kept: a self-call names it
+    def function(self, name: str, first: str, prologue: str, body: str) -> Callable:
+        params = ", ".join([first, *self.variables.values()])
+        exec(f"def {name}({params}):\n    {prologue}\n    return {body}\n", self.namespace)
+        return self.namespace[name]  # kept: a self-call names it
 
     def _bind(self, value: object) -> str:
         ident = f"_k{len(self.namespace)}"
@@ -198,9 +203,8 @@ class _Source:
                 raise ProgramError(f"unbound metavar {t.name}")
             return self.variables[t.name]
         args = [self.term(a) for a in t.args]
-        if t.fn == self.self_name:
-            parent = ", ".join(self.variables.values())
-            return f"_body(*_self([{parent}], [{', '.join(args)}]))"
+        if t.fn == self.self_name:  # each compiled form puts its own call for _self
+            return f"_self({', '.join(args)})"
         if not args and t.fn in self.variables:
             return self.variables[t.fn]
         prim = L.PRIMITIVES.get(t.fn)
@@ -312,7 +316,8 @@ def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
         raise ProgramError("expected (define (name params...) body)")
     name, *params = datum[1]
     sig = sig or L.default_signature()
-    sorts = _default_param_sorts(params)
+    # environment-carrying programs: substitution first, expressions after
+    sorts = ["subst", "expr", "expr"] if len(params) == 3 else ["expr"] * len(params)
     for pname, sort in zip(params, sorts):
         sig.add_constant(pname, sort)
     sig.add_function(name, tuple(sorts), sorts[0])
@@ -322,9 +327,3 @@ def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")
     return ProgramDef(name, tuple(zip(params, sorts)), body, wf.U_REL)
 
-
-def _default_param_sorts(params: list[str]) -> list[str]:
-    # environment-carrying programs: substitution first, expressions after
-    if len(params) == 3:
-        return ["subst", "expr", "expr"]
-    return ["expr"] * len(params)

@@ -180,7 +180,7 @@ class ProgramDef:
 
     @cached_property
     def compiled(self):
-        """This program as a Python function; see program.compile."""
+        """This program's (unchecked, checked) Python functions; see program.compile."""
         from .program import compile
 
         return compile(self)

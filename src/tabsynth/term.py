@@ -118,17 +118,15 @@ def is_atom(e: Expr) -> bool:
 
 
 def left_of(e: Expr) -> Expr:
-    if is_atom(e):
-        raise AtomicExpressionError(f"left of atom {print_expr(e)}")
-    assert isinstance(e, Cons)
-    return e.left
+    if isinstance(e, Cons):
+        return e.left
+    raise AtomicExpressionError(f"left of atom {print_expr(e)}")
 
 
 def right_of(e: Expr) -> Expr:
-    if is_atom(e):
-        raise AtomicExpressionError(f"right of atom {print_expr(e)}")
-    assert isinstance(e, Cons)
-    return e.right
+    if isinstance(e, Cons):
+        return e.right
+    raise AtomicExpressionError(f"right of atom {print_expr(e)}")
 
 
 def size_of(e: Expr) -> int:

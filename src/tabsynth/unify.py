@@ -11,14 +11,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
-from .term import Cons, Expr, Var, encode_tuple, vars_of
+from .term import Cons, Expr, Var, vars_of
 from .subst import (
     BOT,
     Subst,
     apply,
     compose,
+    equal,
     is_idempotent,
     is_proper,
     make_subst,
@@ -30,11 +30,11 @@ from .subst import (
 def reference_unify(env: Subst, e1: Expr, e2: Expr, fuel: int = 10000) -> Subst:
     """Unify e1 and e2 as an extension of env, or return bot.
 
-    Runs the derived program.  fuel bounds its self-calls; only a
-    non-idempotent environment can exhaust it (program.FuelExhaustedError).
+    Runs the derived program unchecked.  fuel bounds its self-calls;
+    only a non-idempotent environment can exhaust it (FuelExhaustedError).
     """
     program, golden = _golden()
-    return program.interpret(golden, [env, e1, e2], fuel)
+    return program.run(golden, (env, e1, e2), fuel)
 
 
 @functools.cache
@@ -64,8 +64,11 @@ def _dbind(sol: dict[str, Expr], name: str, image: Expr) -> None:
     sol[name] = image
 
 
-def _mm_solve(a: Expr, b: Expr) -> Optional[dict[str, Expr]]:
-    """Worklist unification with occurs check; idempotent solved form."""
+def _mm_solve(env: Subst, a: Expr, b: Expr) -> Subst:
+    """Unify env's instances a and b, and compose the unifier with env.
+
+    Worklist unification with occurs check; bot when there is none.
+    """
     sol: dict[str, Expr] = {}
     work = [(a, b)]
     while work:
@@ -75,18 +78,20 @@ def _mm_solve(a: Expr, b: Expr) -> Optional[dict[str, Expr]]:
             continue
         if isinstance(s, Var):
             if s.name in vars_of(t):
-                return None
+                return BOT
             _dbind(sol, s.name, t)
         elif isinstance(t, Var):
             if t.name in vars_of(s):
-                return None
+                return BOT
             _dbind(sol, t.name, s)
         elif isinstance(s, Cons) and isinstance(t, Cons):
             work.append((s.right, t.right))
             work.append((s.left, t.left))
         else:
-            return None
-    return sol
+            return BOT
+    out = compose(env, make_subst(sol.items()))
+    assert is_idempotent(out), "oracle produced a non-idempotent unifier"
+    return out
 
 
 def oracle_unify(env: Subst, e1: Expr, e2: Expr) -> Subst:
@@ -97,17 +102,12 @@ def oracle_unify(env: Subst, e1: Expr, e2: Expr) -> Subst:
     """
     if not (is_proper(env) and is_idempotent(env)):
         raise ValueError("oracle_unify requires a proper idempotent environment")
-    sol = _mm_solve(apply(e1, env), apply(e2, env))
-    if sol is None:
-        return BOT
-    out = compose(env, make_subst(sol.items()))
-    assert is_idempotent(out), "oracle produced a non-idempotent unifier"
-    return out
+    return _mm_solve(env, apply(e1, env), apply(e2, env))
 
 
 def is_unifier(s: Subst, e1: Expr, e2: Expr) -> bool:
     """True iff applying s makes e1 and e2 identical."""
-    return apply(e1, s) == apply(e2, s)
+    return equal(apply(e1, s), apply(e2, s))
 
 
 def reduce_holds(env: Subst, v: frozenset[str], s: Subst) -> bool:
@@ -123,12 +123,8 @@ def mgi_decide(env: Subst, e1: Expr, e2: Expr, s: Subst) -> bool:
     oracle's unifier (itself most-general idempotent, so the comparison
     is sound and complete by mutual generality).
     """
-    return _more_general_than(s, oracle_unify(env, e1, e2))
-
-
-def _more_general_than(s: Subst, best: Subst) -> bool:
-    """mgi against the oracle's unifier best; vacuous when best is bot."""
-    return best == BOT or compose(s, best) == best
+    best = oracle_unify(env, e1, e2)
+    return best == BOT or more_general(s, best)
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,13 @@ def mgiu_check(env: Subst, e1: Expr, e2: Expr, s: Subst) -> MgiuReport:
     """Check that s is a most-general idempotent reducing unifier for env."""
     if not (is_proper(env) and is_idempotent(env)):
         raise ValueError("mgiu_check requires a proper idempotent environment")
-    v = vars_of(apply(encode_tuple([e1, e2]), env))
-    best = oracle_unify(env, e1, e2)
+    # env is applied once: the instances give both v and the oracle's input
+    a1, a2 = apply(e1, env), apply(e2, env)
+    best = _mm_solve(env, a1, a2)
     return MgiuReport(
         unifier_ok=is_unifier(s, e1, e2),
         extension_ok=more_general(env, s),
-        most_general_ok=_more_general_than(s, best),
-        reduce_ok=reduce_holds(env, v, s),
+        most_general_ok=best == BOT or more_general(s, best),
+        reduce_ok=reduce_holds(env, a1.vars | a2.vars, s),
         oracle_used=best,
     )

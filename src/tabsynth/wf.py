@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .term import Expr, size_of, vars_of
 from .subst import Subst, range_of
@@ -25,15 +25,10 @@ class SortMismatchError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InputTriple:
+class InputTriple(NamedTuple):
     env: Subst
     e1: Expr
     e2: Expr
-
-
-def _triple_measure(t: InputTriple) -> frozenset[str]:
-    return range_of(t.env) | vars_of(t.e1) | vars_of(t.e2)
 
 
 @dataclass(frozen=True)
@@ -90,13 +85,13 @@ _MEASURES = {
     "size-lt": size_of,
     "vars-strict-subset": vars_of,
     "subset-int-lex": _expr_pair,
-    "range-vars": _triple_measure,
+    "range-vars": lambda t: range_of(t.env) | vars_of(t.e1) | vars_of(t.e2),
     "size-first": lambda t: size_of(t.e1),
 }
 
 _PROJECTIONS = {
-    "first": lambda v: v[0],
-    "second": lambda v: v[1],
+    "first": lambda v: _expr_pair(v)[0],
+    "second": lambda v: _expr_pair(v)[1],
     "vars": lambda e: vars_of(e),
     "size": lambda e: size_of(e),
     "range": lambda s: range_of(s),
@@ -158,7 +153,7 @@ U_REL = Lex((Base("range-vars"), Base("size-first")))
 
 def u_measure(t: InputTriple) -> tuple[frozenset[str], int]:
     """U_REL's measure of an input triple: range(env) | vars(e1, e2), size(e1)."""
-    return _triple_measure(t), size_of(t.e1)
+    return range_of(t.env) | t.e1.vars | t.e2.vars, t.e1.size
 
 
 def u_less(m1: tuple[frozenset[str], int], m2: tuple[frozenset[str], int]) -> bool:

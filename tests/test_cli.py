@@ -234,6 +234,15 @@ def test_unify_deep_left_nested_expression(capsys):
     assert print_expr(parse_subst(out).map["X"]) == deep
 
 
+def test_check_mgiu_on_a_deep_left_nested_expression(capsys):
+    # the unifier's image and e2 are equal but separately read, so every
+    # comparison walks all 10^4 levels
+    deep = "(" * 10_000 + "Z" + " . c)" * 10_000
+    code, out = run_cli(capsys, "check-mgiu", "X", deep, f"{{X -> {deep}}}")
+    assert code == 0
+    assert "ok: True" in out.splitlines()
+
+
 # what a mutation puts in; '->' is one piece, as it is one token
 _PIECES = [".", "(", ")", ",", "->", "{", "}", "*", "X", "a", "#"]
 # the seeds' names are one letter, so each non-space character is a token

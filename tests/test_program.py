@@ -1,10 +1,11 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
 from tabsynth import logic as L
-from tabsynth import wf
+from tabsynth import unify, wf
 from tabsynth.logic import Apply, Atom, Cond
 from tabsynth.program import (
     DecreaseViolationError,
@@ -15,6 +16,7 @@ from tabsynth.program import (
     eval_formula,
     interpret,
     parse_program,
+    run,
     simplify,
 )
 from tabsynth.subst import BOT, EMPTY, parse_subst
@@ -82,6 +84,78 @@ def test_fuel_accounting(prog):
         if n:
             with pytest.raises(FuelExhaustedError):
                 interpret(prog, args, fuel=n - 1)
+
+
+def _triples(seed, count):
+    rng = random.Random(seed)
+    return [
+        [rand_idempotent_env(rng), rand_expr(rng, 3), rand_expr(rng, 3)]
+        for _ in range(count)
+    ]
+
+
+def test_both_forms_agree_with_the_transcription(prog):
+    # the unchecked form, the checked form with the decrease check, the
+    # checked form listing its calls, and the hand transcription
+    for args in _triples(17, 500):
+        want = transcribed_unify(*args)
+        assert run(prog, args) == want
+        assert interpret(prog, args, check_decrease=True) == want
+        calls = []
+        assert interpret(prog, args, calls=calls) == want
+        assert all(len(parent) == len(child) == 3 for parent, child in calls)
+
+
+def test_fuel_boundary_on_both_forms(prog):
+    recursive = 0
+    for args in _triples(6, 100):
+        calls = []
+        interpret(prog, args, calls=calls)
+        n = len(calls)
+        unchecked = [lambda f: run(prog, args, f), lambda f: interpret(prog, args, fuel=f)]
+        for go in unchecked + [lambda f: interpret(prog, args, fuel=f, check_decrease=True)]:
+            assert go(n) == transcribed_unify(*args)
+            if n:
+                with pytest.raises(FuelExhaustedError, match="fuel exhausted"):
+                    go(n - 1)
+        recursive += n > 1
+    assert recursive > 10
+
+
+def test_looping_environment_reaches_the_recursion_limit_in_both_forms(prog):
+    # {X -> Y, Y -> X} is not idempotent: unifying X with a recurses forever
+    args = [parse_subst("{X -> Y, Y -> X}"), parse_expr("X"), parse_expr("a")]
+    message = f"unify: Python recursion limit ({sys.getrecursionlimit()}) reached"
+    for go in (lambda: run(prog, args), lambda: interpret(prog, args, calls=[])):
+        with pytest.raises(FuelExhaustedError) as err:
+            go()
+        assert str(err.value) == message
+    # the checked form stops at the first self-call that does not decrease
+    with pytest.raises(DecreaseViolationError):
+        interpret(prog, args, check_decrease=True)
+
+
+def test_reference_unify_makes_a_fixed_number_of_calls():
+    # Python-level calls of the package (its modules and generated code)
+    # over fixed triples: a per-self-call hook or closure would raise it
+    triples = _triples(23, 200)
+    unify.reference_unify(*triples[0])  # load and compile the golden program
+    package = str(pathlib.Path(unify.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            path = frame.f_code.co_filename
+            count += path == "<string>" or path.startswith(package)
+
+    sys.setprofile(profile)
+    try:
+        for args in triples:
+            unify.reference_unify(*args)
+    finally:
+        sys.setprofile(None)
+    assert count == 7134
 
 
 def test_parse_and_extract_agree_on_primitiveness():
