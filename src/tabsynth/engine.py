@@ -290,22 +290,22 @@ class SearchConfig:
     max_rows: int = 200
     weights: dict[str, int] = field(default_factory=dict)
 
-    def weight_of(self, symbol: str) -> int:
-        w = self.weights.get(symbol, 1)
-        if w <= 0:
-            raise EngineError(f"weight for {symbol} must be positive")
-        return w
+    def __post_init__(self):
+        for symbol, w in self.weights.items():
+            if w <= 0:
+                raise EngineError(f"weight for {symbol} must be positive")
 
 
 def _formula_weight(f: L.Formula, config: SearchConfig) -> int:
+    weights = config.weights
     total = 0
     for node in L.nodes(f):
         if isinstance(node, L.Atom):
-            total += config.weight_of(node.pred)
+            total += weights.get(node.pred, 1)
         elif isinstance(node, L.Apply):
-            total += config.weight_of(node.fn)
+            total += weights.get(node.fn, 1)
         elif isinstance(node, L.Eq):
-            total += config.weight_of("=")
+            total += weights.get("=", 1)
         else:
             total += 1
     return total
@@ -339,11 +339,9 @@ class _KeptRows:
     entry for a row of the batch being tried could later describe another.
     """
 
-    def __init__(self, tableau: Tableau):
-        self.tableau = tableau
+    def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
-        self._atoms: dict[tuple[int, str], L.Formula] = {}
-        self._dead: dict[tuple[int, str, L.Formula], bool] = {}
+        self._live: dict[tuple[int, str, L.Formula], bool] = {}
 
     def occurrences(self, row: Row) -> tuple[list, list]:
         """The row's atom occurrences as (path text, atom): selected, and all.
@@ -359,46 +357,55 @@ class _KeptRows:
             best = max(ranks, default=None)
             own = [occ for occ, rank in zip(occs, ranks) if rank == best]
             self._occurrences[row.rid] = (own, occs)
-            self._atoms.update(((row.rid, path), atom) for path, atom in occs)
         return self._occurrences[row.rid]
 
-    def dead(self, rid: int, path: str, constant: L.Formula) -> bool:
-        """Whether row rid, with constant put at path, is vacuous as a side.
+    def live(self, row: Row, path: str, constant: L.Formula) -> bool:
+        """Whether row, with constant put at path, can be a side of a useful move.
 
-        It is when that normalizes to false in a goal or true in an
+        It cannot when that normalizes to false in a goal or true in an
         assertion.  A meta-substitution only adds equal sides, never removes
         a constant, so the side stays vacuous under every unifier.
         """
-        key = (rid, path, constant)
-        if key not in self._dead:
-            row = self.tableau.row(rid)
+        key = (row.rid, path, constant)
+        if key not in self._live:
             f = L.normalize(L.replace_at(row.formula, L.parse_path(path), constant))
-            self._dead[key] = isinstance(f, L.FalseF if row.kind == GOAL else L.TrueF)
-        return self._dead[key]
+            self._live[key] = not _vacuous(row.kind, f)
+        return self._live[key]
 
-    def doomed(self, move: tuple) -> bool:
-        """Whether a move can only fail to unify or make a vacuous row.
 
-        Row 1's occurrence is put true and row 2's false, so a resolve move
-        is doomed when its atoms clash or either side is dead; an iffrepl
-        move when the iff side clashes with the target atom or the iff row
-        is dead.
-        """
-        if move[0] == "resolve":
-            _, rid1, path1, rid2, path2 = move
-            return (
-                _clash(self._atoms[rid1, path1], self._atoms[rid2, path2])
-                or self.dead(rid1, path1, L.TRUE)
-                or self.dead(rid2, path2, L.FALSE)
-            )
-        if move[0] == "iffrepl":
-            _, rid1, _, rid2, path2, direction = move
-            iff = self.tableau.row(rid1).formula
-            side = iff.lhs if direction == "ltr" else iff.rhs
-            return _clash(side, self._atoms[rid2, path2]) or self.dead(
-                rid1, "-", L.FALSE
-            )
-        return False
+def _vacuous(kind: str, f: L.Formula) -> bool:
+    """Whether f is false in a goal row or true in an assertion row."""
+    return isinstance(f, L.FalseF if kind == GOAL else L.TrueF)
+
+
+def moves_for(row: Row, active: list[Row], kept: _KeptRows):
+    """The moves search applies when it activates row, in the order it applies them.
+
+    The unary moves come first, then the pair moves with each active row.
+    Literal selection restricts the activated row; the partner row may be
+    boxed at any atom occurrence.  A pair move whose outcome is known
+    beforehand (see search) is not yielded.
+    """
+    yield ("split", row.rid)
+    if row.kind == ASSERTION:
+        yield ("orphan", row.rid)
+    own, _ = kept.occurrences(row)
+    for other in active:
+        _, partner = kept.occurrences(other)
+        for (path1, a1), (path2, a2) in itertools.product(own, partner):
+            if _pred(a1) != _pred(a2) or _clash(a1, a2):
+                continue
+            if kept.live(row, path1, L.TRUE) and kept.live(other, path2, L.FALSE):
+                yield ("resolve", row.rid, path1, other.rid, path2)
+            if kept.live(other, path2, L.TRUE) and kept.live(row, path1, L.FALSE):
+                yield ("resolve", other.rid, path2, row.rid, path1)
+        for iff, target, occs in ((other, row, own), (row, other, partner)):
+            if not (isinstance(iff.formula, L.Iff) and kept.live(iff, "-", L.FALSE)):
+                continue
+            sides = (("ltr", iff.formula.lhs), ("rtl", iff.formula.rhs))
+            for (path, atom), (direction, side) in itertools.product(occs, sides):
+                if not _clash(side, atom):
+                    yield ("iffrepl", iff.rid, "-", target.rid, path, direction)
 
 
 def _canonical_key(row: Row) -> tuple:
@@ -417,98 +424,53 @@ def search(
     """Best-first proof search; returns the simplified program if found.
 
     Given-clause style: rows wait in a passive queue keyed by weighted
-    symbol count (ties by row id); activating a row executes every rule
-    application pairing it with the already-active rows.  Pair moves
-    require one side to descend from the goal (set of support); vacuous
-    and duplicate results are discarded.
+    symbol count (ties by row id); activating a row applies every move
+    moves_for yields, pairing it with the already-active rows.  Vacuous
+    and duplicate results are discarded.  Set of support is structural,
+    not checked: the lemmas are active from the start and never activated,
+    so every activated row, and one side of every pair move, descends from
+    the initial goal.
 
     A resolve or iffrepl move whose outcome is known beforehand is never
-    tried, so nothing is renamed apart or unified for it (_KeptRows.doomed):
-    its two atoms, or the iff side and the target atom, clash in a node
-    type, predicate or function symbol; or one side is dead, that is, the
-    row with its occurrence put true (row 1) or false (row 2) normalizes to
-    false in a goal or true in an assertion, which makes every result
-    vacuous.  Only the counter of fresh names differs from trying them.
+    yielded, so nothing is renamed apart or unified for it: its two atoms,
+    or the iff side and the target atom, clash in a node type, predicate or
+    function symbol; or one side is not live, that is, the row with its
+    occurrence put true (row 1) or false (row 2) normalizes to false in a
+    goal or true in an assertion, which makes every result vacuous.  Only
+    the counter of fresh names differs from trying them.
     """
     tableau = make_tableau(theory, spec_name)
-    supported = {tableau.rows[0].rid}
     for name in sorted(theory.lemmas):
         tableau.add_assertion(name=name)
     seen = {_canonical_key(r) for r in tableau.rows}
-    counter = itertools.count()
-    passive: list = []
-    # the theory's lemmas are usable from the start; only derived rows
-    # (and the initial goal) wait in the passive queue
+    # the theory's lemmas are usable from the start; only derived rows and
+    # the initial goal wait in the passive queue, where no two share a rid
     active: list[Row] = [r for r in tableau.rows if r.just.rule == "assert"]
-    kept = _KeptRows(tableau)
-
-    def enqueue(row: Row) -> None:
-        weight = _formula_weight(row.formula, config)
-        heapq.heappush(passive, (weight, row.rid, next(counter), row))
-
-    def moves_for(row: Row):
-        yield ("split", row.rid)
-        if row.kind == ASSERTION:
-            yield ("orphan", row.rid)
-        # literal selection restricts the activated row; the partner row
-        # may be boxed at any atom occurrence
-        own, _ = kept.occurrences(row)
-        for other in active:
-            if other.rid == row.rid:
-                continue
-            if not (row.rid in supported or other.rid in supported):
-                continue
-            _, partner = kept.occurrences(other)
-            for (path1, a1), (path2, a2) in itertools.product(own, partner):
-                if _pred(a1) == _pred(a2):
-                    yield ("resolve", row.rid, path1, other.rid, path2)
-                    yield ("resolve", other.rid, path2, row.rid, path1)
-            if isinstance(other.formula, L.Iff):
-                for path1, _ in own:
-                    yield ("iffrepl", other.rid, "-", row.rid, path1, "ltr")
-                    yield ("iffrepl", other.rid, "-", row.rid, path1, "rtl")
-            if isinstance(row.formula, L.Iff):
-                for path2, _ in partner:
-                    yield ("iffrepl", row.rid, "-", other.rid, path2, "ltr")
-                    yield ("iffrepl", row.rid, "-", other.rid, path2, "rtl")
-
-    def vacuous(row: Row) -> bool:
-        if row.kind == ASSERTION and isinstance(row.formula, L.TrueF):
-            return True
-        return row.kind == GOAL and isinstance(row.formula, L.FalseF)
-
-    enqueue(tableau.rows[0])
+    goal = tableau.rows[0]
+    passive = [(_formula_weight(goal.formula, config), goal.rid, goal)]
+    kept = _KeptRows()
 
     while passive and len(tableau.rows) < config.max_rows:
-        _, _, _, row = heapq.heappop(passive)
-        for move in list(moves_for(row)):
+        row = heapq.heappop(passive)[-1]
+        for move in moves_for(row, active, kept):
             if len(tableau.rows) >= config.max_rows:
                 break
-            if kept.doomed(move):
-                continue
             before = len(tableau.rows)
             try:
                 batch = apply_step(tableau, move)
             except (TableauError, L.LogicError):
                 continue
-            parent_supported = any(
-                rid in supported
-                for new_row in batch
-                for rid in new_row.just.parents
-            )
             if any(r.is_final() for r in batch):
                 program = tableau.extract_program()
                 if program is not None:
                     return tableau, replace(program, body=P.simplify(program.body))
             keep_any = False
-            for new_row in batch:
-                if vacuous(new_row) or (key := _canonical_key(new_row)) in seen:
+            for r in batch:
+                if _vacuous(r.kind, r.formula) or (key := _canonical_key(r)) in seen:
                     continue
                 seen.add(key)
                 keep_any = True
-                if parent_supported:
-                    supported.add(new_row.rid)
-                enqueue(new_row)
+                heapq.heappush(passive, (_formula_weight(r.formula, config), r.rid, r))
             if not keep_any:
                 tableau.truncate(before)
         active.append(row)

@@ -186,6 +186,42 @@ def test_malformed_inputs_name_the_entry(capsys, tmp_path):
     assert "malformed command 'resolve 1 a 2'" in capsys.readouterr().err
 
 
+_SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
+
+
+@pytest.mark.parametrize(
+    "theory, extra, message",
+    [
+        ("spec f (a:expr) (= a a)\n", [], "malformed spec declaration"),
+        ("spec f (a) output Z:expr (= Z a)\n", [], "parameter 'a' needs a sort"),
+        ("spec f (a:expr) output Z (= Z a)\n", [], "output 'Z' needs a sort"),
+        (_SPEC_F, ["--spec", "g"], "unknown spec 'g'"),
+        (_SPEC_F + _SPEC_F.replace("f", "g"), [], "--spec needed: theory declares"),
+    ],
+)
+def test_bad_theory_or_spec_exits_with_one_error_line(
+    capsys, tmp_path, theory, extra, message
+):
+    path = tmp_path / "bad.thy"
+    path.write_text(theory)
+    assert main(["search", "--theory", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("error:") and message in err[0], err
+    assert "Traceback" not in captured.err
+
+
+def test_search_rejects_a_weight_that_is_not_positive(capsys, tmp_path):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"mgiu": 0}))
+    assert main(["search", "--weights", str(weights)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == ["error: weight for mgiu must be positive"]
+
+
 def test_renaming_apart_skips_names_already_in_use(capsys, tmp_path):
     theory = tmp_path / "clash.thy"
     theory.write_text(

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import pathlib
+import types
 
 import pytest
 
@@ -268,37 +269,78 @@ def test_malformed_script_command_is_named(unify_theory):
 FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
 
 
-def _search_watched(monkeypatch, thy, spec, rows):
-    """Run a search; return its result, its tableau, the moves it skipped,
-    and the number of calls of each pair rule."""
+def _reference_moves(row, active, kept):
+    """Every move search once built on activating row, doomed or not, in its order:
+    each same-predicate resolve pair both ways, each iffrepl against an iff row."""
+    yield ("split", row.rid)
+    if row.kind == ASSERTION:
+        yield ("orphan", row.rid)
+    own, _ = kept.occurrences(row)
+    for other in active:
+        _, partner = kept.occurrences(other)
+        for (path1, a1), (path2, a2) in itertools.product(own, partner):
+            if engine._pred(a1) == engine._pred(a2):
+                yield ("resolve", row.rid, path1, other.rid, path2)
+                yield ("resolve", other.rid, path2, row.rid, path1)
+        for iff, target, paths in ((other, row, own), (row, other, partner)):
+            if isinstance(iff.formula, L.Iff):
+                for path, _ in paths:
+                    yield ("iffrepl", iff.rid, "-", target.rid, path, "ltr")
+                    yield ("iffrepl", iff.rid, "-", target.rid, path, "rtl")
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def _watch(monkeypatch, thy, spec, rows) -> types.SimpleNamespace:
+    """Run a search; return its result, its tableau, the steps it applied,
+    the rows it activated, the moves it skipped, and the number of calls
+    of each pair rule."""
     theory = engine.load_theory((DATA / thy).read_text())
-    tableaux, skipped = [], []
-    calls = {"resolve": 0, "equivalence_replace": 0}
-    make, doomed = engine.make_tableau, engine._KeptRows.doomed
+    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[])
+    watched.calls = {"resolve": 0, "equivalence_replace": 0}
+    make, apply, moves_for = engine.make_tableau, engine.apply_step, engine.moves_for
 
     def make_and_keep(*args):
-        tableaux.append(make(*args))
-        return tableaux[-1]
+        watched.tableau = make(*args)
+        return watched.tableau
 
-    def doomed_and_noted(self, move):
-        out = doomed(self, move)
-        if out:
-            skipped.append(move)
-        return out
+    def apply_and_note(tableau, step):
+        watched.steps.append(step)
+        return apply(tableau, step)
+
+    def moves_and_skipped(row, active, kept):
+        watched.activated.append(row)
+        reference = list(_reference_moves(row, active, kept))
+        yielded = list(moves_for(row, active, kept))
+        assert _is_subsequence(yielded, reference)
+        tried = set(yielded)
+        watched.skipped.extend(m for m in reference if m not in tried)
+        yield from yielded
 
     monkeypatch.setattr(engine, "make_tableau", make_and_keep)
-    monkeypatch.setattr(engine._KeptRows, "doomed", doomed_and_noted)
-    for name in calls:
+    monkeypatch.setattr(engine, "apply_step", apply_and_note)
+    monkeypatch.setattr(engine, "moves_for", moves_and_skipped)
+    for name in watched.calls:
         rule = getattr(Tableau, name)
 
         def counted(self, *args, _rule=rule, _name=name):
-            calls[_name] += 1
+            watched.calls[_name] += 1
             return _rule(self, *args)
 
         monkeypatch.setattr(Tableau, name, counted)
-    result = engine.search(theory, spec, engine.SearchConfig(max_rows=rows))
+    watched.result = engine.search(theory, spec, engine.SearchConfig(max_rows=rows))
     monkeypatch.undo()
-    return result, tableaux[-1], skipped, calls
+    return watched
+
+
+def _search_watched(monkeypatch, thy, spec, rows):
+    """Run a search; return its result, its tableau, the moves it skipped,
+    and the number of calls of each pair rule."""
+    watched = _watch(monkeypatch, thy, spec, rows)
+    return watched.result, watched.tableau, watched.skipped, watched.calls
 
 
 def _row_key(row) -> tuple:
@@ -352,6 +394,55 @@ def test_search_pair_rule_calls(monkeypatch):
     assert calls["equivalence_replace"] <= 100
     result, tableau, _, _ = _search_watched(monkeypatch, "unify_same.thy", "unify-same", 200)
     assert result is not None and len(tableau.rows) == 31
+
+
+# -- what the search does -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows, steps",
+    [("unify_same.thy", "unify-same", 200, 55), ("unify.thy", "unify", 300, 815)],
+)
+def test_search_applies_a_pinned_number_of_steps(monkeypatch, thy, spec, rows, steps):
+    assert len(_watch(monkeypatch, thy, spec, rows).steps) == steps
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows", [("unify_same.thy", "unify-same", 200), ("unify.thy", "unify", 300)]
+)
+def test_activated_rows_descend_from_the_goal(monkeypatch, thy, spec, rows):
+    # why search needs no set-of-support check: no lemma is ever activated,
+    # and every activated row has the initial goal as an ancestor
+    watched = _watch(monkeypatch, thy, spec, rows)
+    tableau, goal = watched.tableau, watched.tableau.rows[0]
+    assert watched.activated[0] is goal
+    for row in watched.activated:
+        assert tableau.row(row.rid) is row and row.just.rule != "assert"
+        ancestors, stack = set(), [row.rid]
+        while stack:
+            ancestors.add(rid := stack.pop())
+            stack.extend(tableau.row(rid).just.parents)
+        assert goal.rid in ancestors, row.rid
+
+
+def test_full_theory_search_recreates_the_pinned_derivation_rows(
+    monkeypatch, unify_theory, derivation
+):
+    # rediscovery: which derivation rows other than init and assert the
+    # search makes again, up to metavar renaming
+    def key(row):
+        return (row.kind, L.canonical((row.formula, row.output)))
+
+    replayed, _ = engine.replay(unify_theory, "unify", derivation)
+    derived = {}
+    for row in replayed.rows:
+        if row.just.rule not in ("init", "assert"):
+            derived.setdefault(key(row), row.rid)
+    assert len(derived) == 94
+    tableau = _watch(monkeypatch, "unify.thy", "unify", 500).tableau
+    made = {key(row) for row in tableau.rows}
+    recreated = sorted(rid for k, rid in derived.items() if k in made)
+    assert recreated == [3, 4, 5, 7, 9, 37, 51]
 
 
 def test_clash_agrees_with_term_unify():
