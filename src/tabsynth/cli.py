@@ -7,7 +7,7 @@ selftest (exhaustive small-universe comparison against the oracle).
 
 Exit status: 0 success, 1 negative verdict (ununifiable input or failed
 check), 2 usage or parse error, 3 rule or step failure, fuel exhaustion,
-or any other internal failure.
+Python's recursion limit, or any other internal failure.
 """
 
 from __future__ import annotations
@@ -36,29 +36,41 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+# what a subcommand returns: exit status, text for stdout, --json payload
+Result = tuple[int, str, object]
+# a step, a decrease check or the fuel that failed: exit 3
+_FAILED = (engine.StepFailedError, P.DecreaseViolationError, P.FuelExhaustedError)
+_BAD_INPUT = (  # a usage or parse error: exit 2
+    ExprError, SubstError, engine.EngineError, TableauError, P.ProgramError,
+    LogicError, OSError, ValueError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (engine.StepFailedError, P.DecreaseViolationError, P.FuelExhaustedError) as exc:
+        code, text, payload = args.func(args)
+    except _FAILED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL
-    except (
-        ExprError,
-        SubstError,
-        engine.EngineError,
-        TableauError,
-        P.ProgramError,
-        LogicError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except RecursionError:  # a walk deeper than the stack allows, outside the program
+        limit = sys.getrecursionlimit()
+        print(f"error: Python recursion limit ({limit}) reached", file=sys.stderr)
+        return INTERNAL
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:  # any other failure is internal; 1 means ununifiable
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
+    sys.stdout.write(json.dumps(payload) + "\n" if args.json else text)
+    return code
+
+
+def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=handler)
+    return p
 
 
 @functools.cache  # built once: main may be called many times in one process
@@ -68,66 +80,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("unify", help="unify two expressions in an environment")
+    p = _command(sub, "unify", cmd_unify, "unify two expressions in an environment")
     p.add_argument("e1")
     p.add_argument("e2")
     p.add_argument("--env", default="{}")
     p.add_argument("--fuel", type=int, default=10000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_unify)
 
-    p = sub.add_parser("check-mgiu", help="check a candidate unifier's contract")
+    p = _command(sub, "check-mgiu", cmd_check_mgiu, "check a candidate unifier's contract")
     p.add_argument("e1")
     p.add_argument("e2")
     p.add_argument("candidate")
     p.add_argument("--env", default="{}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_mgiu)
 
-    p = sub.add_parser("replay", help="replay a derivation script")
+    p = _command(sub, "replay", cmd_replay, "replay a derivation script")
     p.add_argument("script", nargs="?", default="builtin:unify.derivation")
     p.add_argument("--theory", default="builtin:unify.thy")
     p.add_argument("--spec", default=None)
     p.add_argument("--emit", default=None)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("search", help="bounded best-first derivation search")
+    p = _command(sub, "search", cmd_search, "bounded best-first derivation search")
     p.add_argument("--theory", default="builtin:unify_same.thy")
     p.add_argument("--spec", default=None)
     p.add_argument("--max-rows", type=int, default=200)
     p.add_argument("--weights", default=None, help="JSON file of symbol weights")
     p.add_argument("--emit", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("run", help="run a program file")
+    p = _command(sub, "run", cmd_run, "run a program file")
     p.add_argument("program")
     p.add_argument("args", nargs="+", help="argument values (substitution first)")
     p.add_argument("--fuel", type=int, default=10000)
     p.add_argument("--check-decrease", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("selftest", help="exhaustive small-universe oracle check")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
+    _command(sub, "selftest", cmd_selftest, "exhaustive small-universe oracle check")
+    for p in sub.choices.values():  # last, as the help lists options in order
+        p.add_argument("--json", action="store_true")
     return parser
 
 
-def cmd_unify(args) -> int:
+def cmd_unify(args) -> Result:
     env = parse_subst(args.env)
     result = reference_unify(env, parse_expr(args.e1), parse_expr(args.e2), args.fuel)
-    text = print_subst(result)
-    if args.json:
-        print(json.dumps({"result": text, "proper": is_proper(result)}))
-    else:
-        print(text)
-    return OK if is_proper(result) else NEGATIVE
+    text, proper = print_subst(result), is_proper(result)
+    return OK if proper else NEGATIVE, text + "\n", {"result": text, "proper": proper}
 
 
-def cmd_check_mgiu(args) -> int:
+def cmd_check_mgiu(args) -> Result:
     env = parse_subst(args.env)
     report = mgiu_check(
         env, parse_expr(args.e1), parse_expr(args.e2), parse_subst(args.candidate)
@@ -140,12 +138,8 @@ def cmd_check_mgiu(args) -> int:
         "ok": report.ok,
         "oracle": print_subst(report.oracle_used),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return OK if report.ok else NEGATIVE
+    text = "".join(f"{key}: {value}\n" for key, value in payload.items())
+    return OK if report.ok else NEGATIVE, text, payload
 
 
 def _load_theory_and_spec(args) -> tuple[engine.Theory, str]:
@@ -158,44 +152,32 @@ def _load_theory_and_spec(args) -> tuple[engine.Theory, str]:
     return theory, spec
 
 
-def cmd_replay(args) -> int:
-    theory, spec = _load_theory_and_spec(args)
-    trace = print if args.trace else None
-    tableau, prog = engine.replay(theory, spec, _read(args.script), trace=trace)
+def _program_result(args, tableau, prog, **found) -> Result:
+    """Write the derived program to --emit, and report it and the row count."""
     text = P.emit(prog)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(text)
-    if args.json:
-        print(json.dumps({"rows": len(tableau.rows), "program": text}))
-    else:
-        print(text, end="")
-    return OK
+    return OK, text, {**found, "rows": len(tableau.rows), "program": text}
 
 
-def cmd_search(args) -> int:
+def cmd_replay(args) -> Result:
     theory, spec = _load_theory_and_spec(args)
-    weights = {}
-    if args.weights:
-        weights = {k: int(v) for k, v in json.loads(_read(args.weights)).items()}
+    trace = print if args.trace else None  # rows are shown as they are made
+    result = engine.replay(theory, spec, _read(args.script), trace=trace)
+    return _program_result(args, *result)
+
+
+def cmd_search(args) -> Result:
+    theory, spec = _load_theory_and_spec(args)
+    weights = json.loads(_read(args.weights)) if args.weights else {}
+    if not isinstance(weights, dict):
+        raise engine.EngineError("--weights must hold a JSON object")
     config = engine.SearchConfig(max_rows=args.max_rows, weights=weights)
     result = engine.search(theory, spec, config)
     if result is None:
-        if args.json:
-            print(json.dumps({"found": False}))
-        else:
-            print("no derivation found within the row limit")
-        return NEGATIVE
-    tableau, prog = result
-    text = P.emit(prog)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    if args.json:
-        print(json.dumps({"found": True, "rows": len(tableau.rows), "program": text}))
-    else:
-        print(text, end="")
-    return OK
+        return NEGATIVE, "no derivation found within the row limit\n", {"found": False}
+    return _program_result(args, *result, found=True)
 
 
 def _parse_value(text: str):
@@ -211,18 +193,14 @@ def _show_value(value) -> str:
     return print_subst(value)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> Result:
     prog = P.parse_program(_read(args.program))
     values = [_parse_value(a) for a in args.args]
     result = P.interpret(
         prog, values, fuel=args.fuel, check_decrease=args.check_decrease
     )
     text = _show_value(result)
-    if args.json:
-        print(json.dumps({"result": text}))
-    else:
-        print(text)
-    return NEGATIVE if result == BOT else OK
+    return NEGATIVE if result == BOT else OK, text + "\n", {"result": text}
 
 
 def small_universe():
@@ -238,7 +216,7 @@ def selftest_environments():
     return [EMPTY, parse_subst("{X -> a}"), parse_subst("{X -> Y}")]
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Result:
     universe = small_universe()
     disagreements = 0
     pairs = 0
@@ -252,12 +230,9 @@ def cmd_selftest(args) -> int:
                 continue
             if is_proper(ref) and (compose(ref, ora) != ora or compose(ora, ref) != ref):
                 disagreements += 1
+    text = f"checked {pairs} pairs, {disagreements} disagreements\n"
     payload = {"pairs": pairs, "disagreements": disagreements}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"checked {pairs} pairs, {disagreements} disagreements")
-    return OK if disagreements == 0 else NEGATIVE
+    return OK if disagreements == 0 else NEGATIVE, text, payload
 
 
 if __name__ == "__main__":

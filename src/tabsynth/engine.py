@@ -65,16 +65,19 @@ def load_theory(text: str) -> Theory:
             raise EngineError(f"malformed theory entry {entry!r}")
         if kind == "lemma":
             name, body = fields
-            theory.lemmas[name] = L.parse_formula(body, theory.signature)
+            table, value = theory.lemmas, L.parse_formula(body, theory.signature)
         elif kind == "wfrel":
             name, body = fields
-            theory.relations[name] = parse_relspec(read_sexp(body))
+            table, value = theory.relations, parse_relspec(read_sexp(body))
             theory.signature.add_constant(name, "rel")
         elif kind == "spec":
-            spec = _parse_spec(entry.split(None, 1)[1], theory.signature)
-            theory.specs[spec.name] = spec
+            value = _parse_spec(entry.split(None, 1)[1], theory.signature)
+            table, name = theory.specs, value.name
         else:
             raise EngineError(f"unknown theory entry {kind!r}")
+        if name in table:
+            raise EngineError(f"{kind} {name!r} is declared twice")
+        table[name] = value
     return theory
 
 
@@ -292,6 +295,8 @@ class SearchConfig:
 
     def __post_init__(self):
         for symbol, w in self.weights.items():
+            if type(w) is not int:  # a bool is an int, but no weight
+                raise EngineError(f"weight for {symbol} must be an integer")
             if w <= 0:
                 raise EngineError(f"weight for {symbol} must be positive")
 

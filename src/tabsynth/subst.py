@@ -173,26 +173,7 @@ def is_idempotent(s: Subst) -> bool:
 
 def more_general(s1: Subst, s2: Subst) -> bool:
     """Strong generality: compose(s1, s2) = s2 (s2 extends s1)."""
-    return equal(compose(s1, s2), s2)
-
-
-def equal(a: Expr | Subst, b: Expr | Subst) -> bool:
-    """a == b for expressions or substitutions, without recursing; shared parts by identity."""
-    work = [(a, b)]
-    while work:
-        x, y = work.pop()
-        if x is y:
-            continue
-        kind = type(x)
-        if kind is not type(y) or kind is Proper and x.domain != y.domain:
-            return False
-        if kind is Cons:
-            work += ((x.right, y.right), (x.left, y.left))
-        elif kind is Proper:
-            work += ((image, y.map[name]) for name, image in x.bindings)
-        elif x != y:  # atoms or bot: their equality does not recurse
-            return False
-    return True
+    return compose(s1, s2) == s2
 
 
 def print_subst(s: Subst) -> str:

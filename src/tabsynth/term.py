@@ -96,6 +96,29 @@ class Cons:
             _set(self, "vars", shared_varset(lv | rv))
         _set(self, "size", 1 + self.left.size + self.right.size)
 
+    def __eq__(self, other):
+        """Structural equality without recursing; shared parts by identity."""
+        if self is other:
+            return True
+        if type(other) is not Cons:
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            x, y = work.pop()
+            if x is y:
+                continue
+            kind = type(x)
+            if kind is not type(y):
+                return False
+            if kind is not Cons:  # atoms of one class: equal names
+                if x.name != y.name:
+                    return False
+            elif x.size != y.size:
+                return False
+            else:
+                work += ((x.right, y.right), (x.left, y.left))
+        return True
+
 
 Expr = Union[Const, Var, Cons]
 

@@ -18,7 +18,6 @@ from .subst import (
     Subst,
     apply,
     compose,
-    equal,
     is_idempotent,
     is_proper,
     make_subst,
@@ -107,7 +106,7 @@ def oracle_unify(env: Subst, e1: Expr, e2: Expr) -> Subst:
 
 def is_unifier(s: Subst, e1: Expr, e2: Expr) -> bool:
     """True iff applying s makes e1 and e2 identical."""
-    return equal(apply(e1, s), apply(e2, s))
+    return apply(e1, s) == apply(e2, s)
 
 
 def reduce_holds(env: Subst, v: frozenset[str], s: Subst) -> bool:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +334,85 @@ def test_mutated_texts_exit_cleanly(texts):
         if code == 2:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+_DEEP_Z = "(" * 10_000 + "Z" + " . c)" * 10_000
+
+
+def test_check_mgiu_on_two_readings_of_one_deep_text(capsys):
+    # the oracle compares the two separately read instances
+    code, out = run_cli(capsys, "check-mgiu", _DEEP_Z, _DEEP_Z, "{}")
+    assert code == 0
+    assert "ok: True" in out.splitlines()
+
+
+def _nested(head: str, leaf: str, depth: int = 3000) -> str:
+    return f"({head} " * depth + leaf + ")" * depth
+
+
+_DEEP_NOT = _nested("not", "true")
+_DEEP_INPUTS = {
+    "lemma": (
+        {"t.thy": _SPEC_F + f"lemma deep {_DEEP_NOT}\n"},
+        ["search", "--theory", "t.thy"],
+    ),
+    "wfrel": (
+        {"t.thy": f"wfrel deep {_nested('reflexive', 'size-lt')}\n" + _SPEC_F},
+        ["search", "--theory", "t.thy"],
+    ),
+    "assume": (
+        {"t.thy": _SPEC_F, "s.derivation": f"assume {_DEEP_NOT}\nextract\n"},
+        ["replay", "s.derivation", "--theory", "t.thy"],
+    ),
+    "program": (
+        {"p.sexp": f"(define (f a) {_nested('left', 'a')})\n"},
+        ["run", "p.sexp", "(a . b)"],
+    ),
+    "check-mgiu-env": ({}, ["check-mgiu", "--env", "{Z -> a}", _DEEP_Z, "X", "{}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP_INPUTS))
+def test_deep_input_names_the_recursion_limit(capsys, tmp_path, monkeypatch, case):
+    files, argv = _DEEP_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    limit = f"error: Python recursion limit ({sys.getrecursionlimit()}) reached"
+    assert captured.out == "" and captured.err.splitlines() == [limit]
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("[1]", "--weights must hold a JSON object"),
+        ('{"mgiu": 0.5}', "weight for mgiu must be an integer"),
+        ('{"mgiu": "3"}', "weight for mgiu must be an integer"),
+        ('{"mgiu": true}', "weight for mgiu must be an integer"),
+    ],
+)
+def test_search_takes_only_positive_integer_weights(capsys, tmp_path, weights, message):
+    path = tmp_path / "weights.json"
+    path.write_text(weights)
+    assert main(["search", "--weights", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "twice, message",
+    [
+        ("lemma a (= X:expr X)\nlemma a (= X:subst X)\n", "lemma 'a' is declared twice"),
+        ("wfrel r (size-lt)\nwfrel r (size-lt)\n", "wfrel 'r' is declared twice"),
+        (_SPEC_F, "spec 'f' is declared twice"),
+    ],
+    ids=["lemma", "wfrel", "spec"],
+)
+def test_a_name_declared_twice_is_a_usage_error(capsys, tmp_path, twice, message):
+    path = tmp_path / "twice.thy"
+    path.write_text(_SPEC_F + twice)
+    assert main(["search", "--theory", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]

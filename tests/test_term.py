@@ -177,6 +177,24 @@ def test_cached_fields_do_not_change_equality_hash_or_repr(e):
     assert "vars" not in repr(built) and "size" not in repr(built)
 
 
+@given(exprs, exprs)
+def test_equality_is_equality_of_printed_forms(d, e):
+    # printing is canonical, so equal expressions print the same
+    same = print_expr(d) == print_expr(e)
+    assert (d == e) == (e == d) == same != (d != e)
+    assert parse_expr(print_expr(e)) == e
+
+
+def test_deep_equality_does_not_recurse():
+    text = "(" * 10_000 + "Z" + " . c)" * 10_000
+    e = parse_expr(text)
+    assert e == parse_expr(text)
+    assert e != parse_expr(text.replace("Z", "Y"))
+    assert e != parse_expr(text.replace("Z", "z"))
+    assert e != parse_expr(text[:-4] + "d)")
+    assert e != Var("Z") and Const("c") != e
+
+
 def test_occurrence_rejects_an_unknown_mode():
     with pytest.raises(ValueError):
         occurs_in(Var("X"), Var("X"), "sideways")
