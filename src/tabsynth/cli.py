@@ -20,11 +20,11 @@ import sys
 from importlib import resources
 
 from . import engine, program as P
-from .logic import LogicError
+from .logic import LogicError, print_formula
 from .subst import BOT, EMPTY, SubstError, compose, is_proper, parse_subst, print_subst
-from .term import Cons, Const, ExprError, Var, parse_expr, print_expr
+from .term import Cons, Const, ExprError, Var, parse_expr
 from .unify import mgiu_check, oracle_unify, reference_unify
-from .tableau import TableauError
+from .tableau import Row, Tableau, TableauError
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -161,9 +161,21 @@ def _program_result(args, tableau, prog, **found) -> Result:
     return OK, text, {**found, "rows": len(tableau.rows), "program": text}
 
 
+def _row_text(row: Row, as_json: bool) -> str:
+    """A row as --trace prints it: its text line, or one JSON object."""
+    if not as_json:
+        return Tableau.render_row(row)
+    output = None if row.output is None else print_formula(row.output)
+    return json.dumps({
+        "rid": row.rid, "kind": row.kind, "formula": print_formula(row.formula),
+        "output": output, "justification": row.justification(),
+    })
+
+
 def cmd_replay(args) -> Result:
     theory, spec = _load_theory_and_spec(args)
-    trace = print if args.trace else None  # rows are shown as they are made
+    # rows are printed as they are made, before the result
+    trace = (lambda row: print(_row_text(row, args.json))) if args.trace else None
     result = engine.replay(theory, spec, _read(args.script), trace=trace)
     return _program_result(args, *result)
 
@@ -187,19 +199,13 @@ def _parse_value(text: str):
     return parse_expr(text)
 
 
-def _show_value(value) -> str:
-    if isinstance(value, (Const, Var, Cons)):
-        return print_expr(value)
-    return print_subst(value)
-
-
 def cmd_run(args) -> Result:
     prog = P.parse_program(_read(args.program))
     values = [_parse_value(a) for a in args.args]
     result = P.interpret(
         prog, values, fuel=args.fuel, check_decrease=args.check_decrease
     )
-    text = _show_value(result)
+    text = P.show_value(result)
     return NEGATIVE if result == BOT else OK, text + "\n", {"result": text}
 
 

@@ -5,8 +5,8 @@ specifications.  A derivation script applies tableau rules one command
 per line; replay executes it, failing fast, and returns the extracted,
 simplified program.  Search explores rule applications best-first under
 symbol weights.  A rule application is one step, (command, *arguments),
-whether it is a script line, the justification verify_replay reads back
-from a row, or a search move; apply_step applies all three.
+whether it is a script line, the step a row records as the one that made
+it, or a search move; apply_step applies all three.
 """
 
 from __future__ import annotations
@@ -87,14 +87,17 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def _entries(text: str):
-    """Yield complete (paren-balanced) declarations, comments stripped."""
+    """Yield declarations, comments stripped, each ending where its parens balance."""
     pending = ""
     for line in text.splitlines():
         line = _COMMENT.sub("", line).rstrip()
         if not line.strip():
             continue
         pending = f"{pending} {line}".strip() if pending else line.strip()
-        if "(" in pending and pending.count("(") == pending.count(")"):
+        # `lemma name` alone waits for its body; `wfrel r size-lt` needs no "("
+        if pending.count("(") == pending.count(")") and (
+            "(" in pending or len(pending.split(None, 2)) == 3
+        ):
             yield pending
             pending = ""
     if pending:
@@ -158,8 +161,8 @@ def replay(
 ) -> tuple[Tableau, ProgramDef]:
     """Execute a derivation script; return the tableau and final program."""
     tableau = make_tableau(theory, spec_name)
-    if trace:
-        trace(tableau.render_row(tableau.rows[0]))
+    if trace:  # trace gets each row as it is made
+        trace(tableau.rows[0])
     commands = parse_script(script_text)
     if not commands or commands[-1].text.split()[0] != "extract":
         raise EngineError("script must end with extract")
@@ -174,12 +177,12 @@ def replay(
             raise StepFailedError(idx, cmd.line_no, cmd.text, exc) from exc
         if trace:
             for row in made:
-                trace(tableau.render_row(row))
+                trace(row)
     return tableau, replace(program, body=P.simplify(program.body))
 
 
 # ---------------------------------------------------------------------------
-# steps: one rule application, as a script line, a justification or a move
+# steps: one rule application, as a script line, a row's record or a move
 
 # command -> (the Tableau rule it applies, the kinds of its arguments in a
 # script line: int for a row id, str for a path, a direction or a name).
@@ -201,7 +204,7 @@ def apply_step(tableau: Tableau, step: tuple) -> list[Row]:
     """Apply a step, (command, *arguments), to tableau; return the rows it made.
 
     A step is a script line with its row ids as ints (_parse_step), the
-    step a row's justification records (_step_of), or a search move.  The
+    step a row records (Row.step), or a search move.  The
     rule is looked up on the tableau at each call, so a rule rebound on
     Tableau is the one applied.
     """
@@ -231,27 +234,17 @@ def _parse_step(text: str, sig: L.Signature) -> tuple:
         raise EngineError(f"malformed command {text!r}") from None
 
 
-def _step_of(row: Row) -> tuple:
-    """The step that made row, read back from its justification."""
-    just = row.just
-    if just.rule == "assume":
-        return ("assume", row.formula, row.output)
-    links = itertools.chain(*itertools.zip_longest(just.parents, just.paths))
-    notes = (just.note,) if just.note else ()
-    return (just.rule, *[x for x in links if x is not None], *notes)
-
-
 def verify_replay(theory: Theory, spec_name: str, tableau: Tableau) -> bool:
-    """Re-derive every row from the step its justification records, and compare.
+    """Re-derive every row from the step it records, and compare.
 
-    This is the kernel-checkable-log property: the justifications alone
+    This is the kernel-checkable-log property: the recorded steps alone
     reproduce the tableau.  A row's formula and output are compared under
     one renaming of metavariables.
     """
     check = make_tableau(theory, spec_name)
     for i, want in enumerate(tableau.rows):
         if i == len(check.rows):
-            apply_step(check, _step_of(want))
+            apply_step(check, want.step)
         got = check.rows[i]
         if got.kind != want.kind or not equal_up_to_renaming(
             (got.formula, got.output), (want.formula, want.output)
@@ -450,7 +443,7 @@ def search(
     seen = {_canonical_key(r) for r in tableau.rows}
     # the theory's lemmas are usable from the start; only derived rows and
     # the initial goal wait in the passive queue, where no two share a rid
-    active: list[Row] = [r for r in tableau.rows if r.just.rule == "assert"]
+    active: list[Row] = [r for r in tableau.rows if r.step[0] == "assert"]
     goal = tableau.rows[0]
     passive = [(_formula_weight(goal.formula, config), goal.rid, goal)]
     kept = _KeptRows()

@@ -606,41 +606,33 @@ def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaS
     """Most general syntactic unifier of two formulas or two terms.
 
     Occurs check included; the result is idempotent.  When two MetaVars
-    meet, the one from `a` is bound.
+    meet, the one from `a` is bound.  The pairs left to unify wait on an
+    explicit stack, so a deep term costs no recursion.
     """
     sig = sig or default_signature()
     sub: MetaSubst = {}
-
-    def walk(x: Node, y: Node) -> bool:
-        x = apply_subst(x, sub)
-        y = apply_subst(y, sub)
-        if x == y:
-            return True
-        if isinstance(x, MetaVar):
-            return bind(x, y)
-        if isinstance(y, MetaVar):
-            return bind(y, x)
-        xk, yk = children(x), children(y)
-        if head(x) != head(y) or len(xk) != len(yk):
-            return False
-        return all(walk(p, q) for p, q in zip(xk, yk))
-
-    def bind(v: MetaVar, t: Node) -> bool:
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        x = sub.get(x.name, x) if type(x) is MetaVar else x
+        y = sub.get(y.name, y) if type(y) is MetaVar else y
+        if x is y or (type(x) is MetaVar and x == y):
+            continue
+        if type(x) is not MetaVar and type(y) is not MetaVar:
+            xk, yk = children(x), children(y)
+            if head(x) != head(y) or len(xk) != len(yk):
+                return None
+            pairs.extend(zip(reversed(xk), reversed(yk)))
+            continue
+        v, t = (x, y) if type(x) is MetaVar else (y, x)
         if not isinstance(t, _TERM_TYPES):
-            return False
-        if v.sort != "?" and sort_of(t, sig) != v.sort:
-            return False
-        if v in metavars_of(t):
-            return False
+            return None
+        t = apply_subst(t, sub)
+        if v.sort != "?" and sort_of(t, sig) != v.sort or v in metavars_of(t):
+            return None
         one = {v.name: t}
-        for name in list(sub):
-            sub[name] = apply_subst(sub[name], one)
-        sub[v.name] = t
-        return True
-
-    if walk(a, b):
-        return sub
-    return None
+        sub = {name: apply_subst(s, one) for name, s in sub.items()} | one
+    return sub
 
 
 def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:

@@ -29,11 +29,19 @@ class ProgramError(Exception):
 
 class DecreaseViolationError(ProgramError):
     def __init__(self, parent, child):
+        shown = [", ".join(map(show_value, args)) for args in (child, parent)]
         super().__init__(
-            f"self-call does not decrease: {child} under parent {parent}"
+            "self-call does not decrease: ({}) under parent ({})".format(*shown)
         )
         self.parent = parent
         self.child = child
+
+
+def show_value(value) -> str:
+    """A runtime value, an expression or a substitution, as the CLI writes it."""
+    if isinstance(value, (T.Const, T.Var, T.Cons)):
+        return T.print_expr(value)
+    return str(value)  # a substitution's str is that text
 
 
 class PrimitiveError(ProgramError):

@@ -113,37 +113,13 @@ def nonprimitive_symbol(
 
 
 @dataclass(frozen=True)
-class Justification:
-    rule: str
-    parents: tuple[int, ...] = ()
-    paths: tuple[str, ...] = ()
-    unifier: str = ""
-    note: str = ""
-
-    def render(self) -> str:
-        parts = [self.rule]
-        if self.parents:
-            links = ", ".join(
-                f"{rid}@{path}" if path else str(rid)
-                for rid, path in zip(
-                    self.parents, list(self.paths) + [""] * len(self.parents)
-                )
-            )
-            parts.append(f"({links})")
-        if self.unifier:
-            parts.append(self.unifier)
-        if self.note:
-            parts.append(self.note)
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
 class Row:
     rid: int
     kind: str
     formula: Formula
     output: LTerm | None
-    just: Justification
+    step: tuple  # the step that made the row, as engine.apply_step takes it
+    unifier: str = ""  # the text of the unifier the step applied, if any
 
     @cached_property
     def metavar_names(self) -> frozenset[str]:
@@ -152,6 +128,19 @@ class Row:
         if self.output is not None:
             names |= {mv.name for mv in L.metavars_of(self.output)}
         return frozenset(names)
+
+    def justification(self) -> str:
+        """The step as text: command, (rows@paths), unifier, then other strings."""
+        links, notes = [], []
+        for prev, arg in zip(self.step, self.step[1:]):
+            if type(arg) is int:  # a row
+                links.append(str(arg))
+            elif isinstance(arg, str) and type(prev) is int:  # that row's path
+                links[-1] += f"@{arg}"
+            elif isinstance(arg, str):  # a lemma, a relation or a direction
+                notes.append(arg)
+        parts = [self.step[0], f"({', '.join(links)})" if links else "", self.unifier]
+        return " ".join(p for p in parts + notes if p)
 
     def is_final(self) -> bool:
         if self.output is None:
@@ -231,10 +220,12 @@ class Tableau:
             raise IllFormedSpecError(
                 f"condition mentions free metavars {sorted(mvs - allowed)}"
             )
-        self._append(GOAL, cond, self.spec.output, Justification("init"))
+        self._append(GOAL, cond, self.spec.output, ("init",))
 
-    def _append(self, kind: str, formula: Formula, output: LTerm | None, just) -> Row:
-        row = Row(len(self.rows) + 1, kind, formula, output, just)
+    def _append(
+        self, kind: str, formula: Formula, output: LTerm | None, step: tuple, unifier=""
+    ) -> Row:
+        row = Row(len(self.rows) + 1, kind, formula, output, step, unifier)
         self.rows.append(row)
         return row
 
@@ -254,10 +245,11 @@ class Tableau:
             raise TableauError("bad truncation length")
         del self.rows[length:]
 
-    def render_row(self, row: Row) -> str:
+    @staticmethod
+    def render_row(row: Row) -> str:
         tag = "A" if row.kind == ASSERTION else "G"
         out = L.print_formula(row.output) if row.output is not None else ""
-        return f"#{row.rid} [{tag}] {L.print_formula(row.formula)} | {out} | {row.just.render()}"
+        return f"#{row.rid} [{tag}] {L.print_formula(row.formula)} | {out} | {row.justification()}"
 
     # -- fresh renaming (standardize apart) ---------------------------
 
@@ -305,8 +297,11 @@ class Tableau:
         if formula is None:
             raise TableauError("no formula to assert")
         L.check_formula(formula, self.sig)
-        just = Justification("assume" if assumption else "assert", note=name or "")
-        return self._append(ASSERTION, normalize(formula), output, just)
+        if assumption:
+            step = ("assume", formula, output)
+        else:  # a lemma by name, or a non-strict tableau's own formula
+            step = ("assert", name) if name else ("assert", None, formula, output)
+        return self._append(ASSERTION, normalize(formula), output, step)
 
     def assume(self, formula: Formula, output: LTerm | None = None) -> Row:
         """Enter a case assumption, as a script's assume line does."""
@@ -315,9 +310,8 @@ class Tableau:
     def dualize(self, rid: int) -> Row:
         row = self.row(rid)
         kind = GOAL if row.kind == ASSERTION else ASSERTION
-        return self._append(
-            kind, normalize(Not(row.formula)), row.output, Justification("dualize", (rid,))
-        )
+        formula = normalize(Not(row.formula))
+        return self._append(kind, formula, row.output, ("dualize", rid))
 
     def drop_orphan_output(self, rid: int) -> Row:
         row = self.row(rid)
@@ -325,26 +319,26 @@ class Tableau:
             raise NotOrphanError("output entry is not a lone metavar")
         if row.output in L.metavars_of(row.formula):
             raise NotOrphanError("output metavar occurs in the row formula")
-        return self._append(row.kind, row.formula, None, Justification("orphan", (rid,)))
+        return self._append(row.kind, row.formula, None, ("orphan", rid))
 
     # -- structural rules ----------------------------------------------
 
     def split_row(self, rid: int) -> list[Row]:
         row = self.row(rid)
-        just = lambda: Justification("split", (rid,))  # noqa: E731
+        step = ("split", rid)
         if row.kind == GOAL:
             if isinstance(row.formula, Implies):
-                a = self._append(ASSERTION, row.formula.antecedent, row.output, just())
-                g = self._append(GOAL, row.formula.consequent, row.output, just())
+                a = self._append(ASSERTION, row.formula.antecedent, row.output, step)
+                g = self._append(GOAL, row.formula.consequent, row.output, step)
                 return [a, g]
             dist = _distribute(row.formula, And, Or)
             if isinstance(dist, Or):
-                return [self._append(GOAL, p, row.output, just()) for p in dist.parts]
+                return [self._append(GOAL, p, row.output, step) for p in dist.parts]
             raise NotSplittableError("goal is neither an implication nor a disjunction")
         dist = _distribute(row.formula, Or, And)
         if isinstance(dist, And):
             return [
-                self._append(ASSERTION, p, row.output, just()) for p in dist.parts
+                self._append(ASSERTION, p, row.output, step) for p in dist.parts
             ]
         raise NotSplittableError("assertion has no conjunctive structure")
 
@@ -377,10 +371,8 @@ class Tableau:
         )
         combined = normalize(And((g1, g2)))
         output = self._outputs(test, row1.output, out2, theta)
-        just = Justification(
-            "resolve", (rid1, rid2), (path1, path2), _print_meta(theta)
-        )
-        return self._emit(combined, row1.kind, row2.kind, output, just)
+        step = ("resolve", rid1, path1, rid2, path2)
+        return self._emit(combined, row1.kind, row2.kind, output, step, theta)
 
     # -- replacement rules ----------------------------------------------
 
@@ -426,17 +418,15 @@ class Tableau:
         test = L.apply_subst(eqnode, theta)
         output = self._outputs(test, out2, row1.output, theta)
         rule = "eqrepl" if node_type is Eq else "iffrepl"
-        just = Justification(
-            rule, (rid1, rid2), (path1, path2, direction), _print_meta(theta)
-        )
-        return self._emit(combined, row1.kind, row2.kind, output, just)
+        step = (rule, rid1, path1, rid2, path2, direction)
+        return self._emit(combined, row1.kind, row2.kind, output, step, theta)
 
     # -- induction -------------------------------------------------------
 
     def insert_induction_hypothesis(self, relname: str) -> Row:
         if relname not in self.relations:
             raise UnknownRelationError(f"relation {relname!r} is not registered")
-        if any(r.just.rule != "init" for r in self.rows):
+        if any(r.step[0] != "init" for r in self.rows):
             raise NotInitialError("induction applies only to the initial tableau")
         if self.spec.output is None:
             raise IllFormedSpecError("induction needs an output to recurse on")
@@ -461,10 +451,7 @@ class Tableau:
             self.sig.predicates["wf-ordered"] = ("rel", sort, sort)
         self.decrease = self.relations[relname]
         return self._append(
-            ASSERTION,
-            normalize(Implies(wf, cond)),
-            None,
-            Justification("induct", note=relname),
+            ASSERTION, normalize(Implies(wf, cond)), None, ("induct", relname)
         )
 
     def _measure_tuple(self, items: list) -> LTerm:
@@ -511,10 +498,11 @@ class Tableau:
             return _mk_cond(test, t1, t2)
         return t1 if t1 is not None else t2
 
-    def _emit(self, combined, kind1, kind2, output, just) -> Row:
+    def _emit(self, combined, kind1, kind2, output, step, theta) -> Row:
+        unifier = _print_meta(theta)
         if kind1 == ASSERTION and kind2 == ASSERTION:
-            return self._append(ASSERTION, normalize(Not(combined)), output, just)
-        return self._append(GOAL, combined, output, just)
+            return self._append(ASSERTION, normalize(Not(combined)), output, step, unifier)
+        return self._append(GOAL, combined, output, step, unifier)
 
 
 def _distribute(f: Formula, outer: type, inner: type) -> Formula:
@@ -540,8 +528,6 @@ def _instantiate_params(f: Formula, sub: dict[str, MetaVar]) -> Formula:
 
 
 def _print_meta(theta: L.MetaSubst) -> str:
-    if not theta:
-        return "{}"
     inner = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in sorted(theta.items()))
     return "{" + inner + "}"
 

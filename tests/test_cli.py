@@ -242,7 +242,42 @@ def test_replay_trace_is_unchanged(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 160
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "61ce8462e5ab497ad0a4d5a7356ac9da7adb1c1b8aabf0f6aa89e2d4cc03f097"
+    assert digest == "8d4ae69715caee32a754732d9d8407eb7e0e19a2cf703adf4d10a32c95e454ae"
+
+
+def test_replay_trace_shows_the_replacement_direction(capsys):
+    assert main(["replay", "--trace"]) == 0
+    row7 = capsys.readouterr().out.splitlines()[6]
+    assert row7 == "#7 [A] (more-genid th0 th0) |  | iffrepl (6@-, 5@-) {TH -> th0} ltr"
+
+
+def test_replay_trace_json_prints_one_object_per_line(capsys):
+    assert main(["replay", "--trace", "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 137
+    rows, payload = lines[:-1], lines[-1]
+    assert [row["rid"] for row in rows] == list(range(1, 137))
+    assert rows[0] == {
+        "rid": 1,
+        "kind": "goal",
+        "formula": "(implies (idem th0) (mgiu th0 e1 e2 TH))",
+        "output": "TH",
+        "justification": "init",
+    }
+    assert rows[6]["output"] is None
+    assert rows[6]["justification"] == "iffrepl (6@-, 5@-) {TH -> th0} ltr"
+    assert set(payload) == {"rows", "program"} and payload["rows"] == 136
+
+
+def test_run_names_a_call_that_does_not_decrease_in_value_syntax(capsys, tmp_path):
+    prog = tmp_path / "f.prog"
+    prog.write_text("(define (f th e1 e2) (f th e1 e2))\n")
+    assert main(["run", str(prog), "{}", "a", "b", "--check-decrease"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: self-call does not decrease: ({}, a, b) under parent ({}, a, b)\n"
+    )
 
 
 def test_bound_names_must_be_variables(capsys):

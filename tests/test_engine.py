@@ -11,6 +11,7 @@ from tabsynth import logic as L
 from tabsynth import program as P
 from tabsynth.logic import MetaVar
 from tabsynth.tableau import ASSERTION, NotUnifiableError, Tableau
+from tabsynth.wf import Base
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
 
@@ -74,7 +75,7 @@ def test_verify_replay_on_dualize_and_assume_rows(unify_theory, derivation):
     extra = ["dualize 3", "assume (idem th0)", "assume (is-var e1) output th0"]
     script = "\n".join(lines[:-1] + extra + lines[-1:]) + "\n"
     tableau, _ = engine.replay(unify_theory, "unify", script)
-    rules = [r.just.rule for r in tableau.rows[-3:]]
+    rules = [r.step[0] for r in tableau.rows[-3:]]
     assert rules == ["dualize", "assume", "assume"]
     assert tableau.rows[-1].output == L.Apply("th0")
     assert engine.verify_replay(unify_theory, "unify", tableau)
@@ -222,17 +223,25 @@ def test_assume_command_in_script():
     # the case assumption contributes the output for the non-atom case
     script = "assume (is-atom a1) output a1\nresolve 1 - 2 -\nextract\n"
     tableau, prog = engine.replay(theory, "pick", script)
-    assert tableau.rows[1].just.rule == "assume"
+    assert tableau.rows[1].step[0] == "assume"
     assert isinstance(prog.body, L.Cond)
     assert prog.body.test == L.Atom("is-atom", (L.Apply("a1"),))
     assert prog.body.els == L.Apply("a1")
 
 
 def test_replay_trace_lists_every_row(unify_theory, derivation):
-    lines = []
-    tableau, _ = engine.replay(unify_theory, "unify", derivation, trace=lines.append)
-    assert len(lines) == len(tableau.rows)
-    assert lines[0].startswith("#1 [G]")
+    rows = []
+    tableau, _ = engine.replay(unify_theory, "unify", derivation, trace=rows.append)
+    assert len(rows) == len(tableau.rows)
+    assert all(got is want for got, want in zip(rows, tableau.rows))
+
+
+def test_rows_record_the_script_steps_verbatim(unify_theory, derivation):
+    tableau, _ = engine.replay(unify_theory, "unify", derivation)
+    assert tableau.rows[0].step == ("init",)
+    recorded = [step for step, _ in itertools.groupby(r.step for r in tableau.rows[1:])]
+    commands = engine.parse_script(derivation)[:-1]  # all but extract
+    assert recorded == [engine._parse_step(c.text, tableau.sig) for c in commands]
 
 
 def test_malformed_theory_entry_is_named():
@@ -242,6 +251,15 @@ def test_malformed_theory_entry_is_named():
             engine.load_theory(text)
     with pytest.raises(engine.EngineError, match="unknown theory entry '\\(x\\)'"):
         engine.load_theory("(x)\n")
+
+
+def test_a_bare_wfrel_base_ends_at_its_line():
+    spec = "spec f (a:expr) output Z:expr (= Z a)\n"
+    for text in (
+        "wfrel r size-lt\nlemma a (= X:expr X)\n" + spec,  # not joined to the lemma
+        spec + "wfrel r size-lt\n",  # the last line
+    ):
+        assert engine.load_theory(text).relations["r"] == Base("size-lt")
 
 
 def test_malformed_script_command_is_named(unify_theory):
@@ -356,7 +374,11 @@ def _row_key(row) -> tuple:
 def _digest(tableau) -> str:
     h = hashlib.sha256()
     for r in tableau.rows:
-        key = (_row_key(r), r.just.rule, r.just.parents, r.just.paths)
+        # the key as rows once recorded it: rule, parent rows, and the strings
+        # of a step on rows (paths and a direction, not a lemma's name)
+        parents = tuple(a for a in r.step if type(a) is int)
+        paths = tuple(a for a in r.step[1:] if type(a) is str) if parents else ()
+        key = (_row_key(r), r.step[0], parents, paths)
         h.update(repr(key).encode() + b"\n")
     return h.hexdigest()
 
@@ -417,11 +439,11 @@ def test_activated_rows_descend_from_the_goal(monkeypatch, thy, spec, rows):
     tableau, goal = watched.tableau, watched.tableau.rows[0]
     assert watched.activated[0] is goal
     for row in watched.activated:
-        assert tableau.row(row.rid) is row and row.just.rule != "assert"
+        assert tableau.row(row.rid) is row and row.step[0] != "assert"
         ancestors, stack = set(), [row.rid]
         while stack:
             ancestors.add(rid := stack.pop())
-            stack.extend(tableau.row(rid).just.parents)
+            stack.extend(a for a in tableau.row(rid).step if type(a) is int)
         assert goal.rid in ancestors, row.rid
 
 
@@ -436,7 +458,7 @@ def test_full_theory_search_recreates_the_pinned_derivation_rows(
     replayed, _ = engine.replay(unify_theory, "unify", derivation)
     derived = {}
     for row in replayed.rows:
-        if row.just.rule not in ("init", "assert"):
+        if row.step[0] not in ("init", "assert"):
             derived.setdefault(key(row), row.rid)
     assert len(derived) == 94
     tableau = _watch(monkeypatch, "unify.thy", "unify", 500).tableau

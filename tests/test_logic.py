@@ -179,6 +179,33 @@ def test_term_unify_idempotent():
         assert not ({mv.name for mv in metavars_of(image)} & set(theta))
 
 
+def test_term_unify_binds_left_to_right():
+    # pairs are unified left to right, and of two metavars the one from `a`
+    # is bound: right to left would give {X -> Y, Z -> Y}
+    x, y, z = (MetaVar(n, "expr") for n in "XYZ")
+    theta = term_unify(Apply("cons", (x, x)), Apply("cons", (y, z)))
+    assert list(theta.items()) == [("X", z), ("Y", z)]
+
+
+def cons_chain(depth: int, bottom) -> Apply:
+    t = bottom
+    for _ in range(depth):
+        t = Apply("cons", (t, Apply("e1")))
+    return t
+
+
+def test_term_unify_on_a_deep_term():
+    sig = sig_with_params()
+    x = MetaVar("X", "expr")
+    t = cons_chain(10_000, Apply("e1"))
+    # the sides part only at the chain's bottom, one level apart
+    deeper = Apply("cons", (t, x))
+    assert term_unify(Atom("is-var", (t,)), Atom("is-var", (deeper,)), sig) is None
+    theta = term_unify(Atom("is-var", (x,)), Atom("is-var", (t,)), sig)
+    assert list(theta) == ["X"] and theta["X"] is t
+    assert term_unify(cons_chain(10_000, x), t, sig) == {"X": Apply("e1")}
+
+
 def test_normalize_examples():
     p = Atom("is-proper", (MetaVar("TH", "subst"),))
     q = Atom("idem", (MetaVar("TH", "subst"),))

@@ -99,7 +99,7 @@ def test_add_assertion_registration():
     with pytest.raises(UnknownLemmaError):
         tab.add_assertion(formula=lemma)  # strict mode requires a name
     assumed = tab.add_assertion(formula=lemma, assumption=True)
-    assert assumed.just.rule == "assume"
+    assert assumed.step[0] == "assume"
 
 
 # -- resolution --------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_renaming_apart_skips_the_names_of_the_other_row():
             new = tab.equivalence_replace(row.rid, "-", 1, "2", "ltr")
         else:
             new = tab.resolve(row.rid, "-", 1, "2")
-        assert "TH#2" in new.just.unifier
+        assert "TH#2" in new.unifier
         assert not new.metavar_names & tab.rows[0].metavar_names
 
 
