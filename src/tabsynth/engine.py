@@ -12,7 +12,6 @@ it, or a search move; apply_step applies all three.
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 
@@ -294,81 +293,48 @@ class SearchConfig:
                 raise EngineError(f"weight for {symbol} must be positive")
 
 
-def _formula_weight(f: L.Formula, config: SearchConfig) -> int:
-    weights = config.weights
-    total = 0
-    for node in L.nodes(f):
-        if isinstance(node, L.Atom):
-            total += weights.get(node.pred, 1)
-        elif isinstance(node, L.Apply):
-            total += weights.get(node.fn, 1)
-        elif isinstance(node, L.Eq):
-            total += weights.get("=", 1)
-        else:
+def _key_and_weight(row: Row, config: SearchConfig) -> tuple[tuple, int]:
+    """The row's duplicate key and its formula's weight, in one walk.
+
+    The key is the row's kind, whether it has an output (a row restating a
+    formula with another program fragment is a duplicate), and its formula
+    read as L.canonical reads it.  A node weighs its symbol's weight, or 1."""
+    weights, numbers, total = config.weights, {}, 0
+    key: list = [row.kind, row.output is None]
+    stack = [row.formula]
+    while stack:
+        n = stack.pop()
+        typ = type(n)
+        if typ is L.MetaVar:
+            key += (typ, numbers.setdefault(n.name, len(numbers)), n.sort)
             total += 1
-    return total
+            continue
+        kids = L.children(n)
+        stack.extend(reversed(kids))
+        symbol = n.pred if typ is L.Atom else n.fn if typ is L.Apply else None
+        if symbol is None:
+            key += (typ, len(kids))
+            total += weights.get("=", 1) if typ is L.Eq else 1
+        else:
+            key += (typ, symbol, len(kids))
+            total += weights.get(symbol, 1)
+    return tuple(key), total
 
 
-def _pred(atom: L.Formula) -> str:
-    return atom.pred if isinstance(atom, L.Atom) else "="
-
-
-def _clash(a: L.Node, b: L.Node) -> bool:
-    """Whether a and b cannot unify, judged by their own and their children's tops.
-
-    A child that is a MetaVar is skipped; any other keeps its head and
-    arity under every meta-substitution.
-    """
-    ka, kb = L.children(a), L.children(b)
-    if L.head(a) != L.head(b) or len(ka) != len(kb):
-        return True
-    return any(
-        L.head(s) != L.head(t) or len(L.children(s)) != len(L.children(t))
-        for s, t in zip(ka, kb)
-        if type(s) is not L.MetaVar and type(t) is not L.MetaVar
+def _shape(atom: L.Node) -> tuple:
+    """The (head, arity) of each of atom's arguments; None for a metavar,
+    which may become any term under a meta-substitution."""
+    return tuple(
+        None if type(t) is L.MetaVar else (L.head(t), len(L.children(t)))
+        for t in L.children(atom)
     )
 
 
-class _KeptRows:
-    """What the search reuses about its kept rows, keyed by rid.
-
-    Only rows already in the passive queue or the active list are entered.
-    Tableau.truncate gives a dropped row's rid to the next row made, so an
-    entry for a row of the batch being tried could later describe another.
-    """
-
-    def __init__(self):
-        self._occurrences: dict[int, tuple[list, list]] = {}
-        self._live: dict[tuple[int, str, L.Formula], bool] = {}
-
-    def occurrences(self, row: Row) -> tuple[list, list]:
-        """The row's atom occurrences as (path text, atom): selected, and all.
-
-        Selection boxes only atoms whose predicate is precedence-maximal
-        within the row.
-        """
-        if row.rid not in self._occurrences:
-            occs = [
-                (".".join(map(str, p)) or "-", a) for p, a in L.atom_paths(row.formula)
-            ]
-            ranks = [_RANK.get(_pred(a), -1) for _, a in occs]
-            best = max(ranks, default=None)
-            own = [occ for occ, rank in zip(occs, ranks) if rank == best]
-            self._occurrences[row.rid] = (own, occs)
-        return self._occurrences[row.rid]
-
-    def live(self, row: Row, path: str, constant: L.Formula) -> bool:
-        """Whether row, with constant put at path, can be a side of a useful move.
-
-        It cannot when that normalizes to false in a goal or true in an
-        assertion.  A meta-substitution only adds equal sides, never removes
-        a constant, so the side stays vacuous under every unifier.
-        """
-        key = (row.rid, path, constant)
-        if key not in self._live:
-            f = L.normalize(L.replace_at(row.formula, L.parse_path(path), constant))
-            self._live[key] = not _vacuous(row.kind, f)
-        return self._live[key]
+def _meets(shape1: tuple, shape2: tuple) -> bool:
+    """Whether two atoms of one head, of these shapes, may unify."""
+    return len(shape1) == len(shape2) and all(
+        s is None or t is None or s == t for s, t in zip(shape1, shape2)
+    )
 
 
 def _vacuous(kind: str, f: L.Formula) -> bool:
@@ -376,44 +342,104 @@ def _vacuous(kind: str, f: L.Formula) -> bool:
     return isinstance(f, L.FalseF if kind == GOAL else L.TrueF)
 
 
+def _rewriting_sides(row: Row) -> tuple:
+    """Each (direction, side) an iff assertion rewrites with; none for a goal,
+    which put false at its root is vacuous."""
+    f = row.formula
+    if isinstance(f, L.Iff) and row.kind == ASSERTION:
+        return (("ltr", f.lhs), ("rtl", f.rhs))
+    return ()
+
+
+class _KeptRows:
+    """What the search reuses about its kept rows, keyed by rid, and an index
+    of the active rows' atom occurrences and rewriting sides.
+
+    Only rows already in the passive queue or the active list are entered.
+    Tableau.truncate gives a dropped row's rid to the next row made, so an
+    entry for a row of the batch being tried could later describe another."""
+
+    def __init__(self):
+        self._occurrences: dict[int, tuple[list, list]] = {}
+        self._live: dict[tuple[int, str, L.Formula], bool] = {}
+        # head -> shape -> (active position, *occurrence or direction)
+        self._index: dict[tuple, dict[tuple, list]] = {}
+        self._sides: dict[tuple, dict[tuple, list]] = {}
+        self._indexed = 0  # the length of the active list indexed so far
+
+    def occurrences(self, row: Row) -> tuple[list, list]:
+        """The row's atom occurrences as (position, path text, atom, shape):
+        selected, that is of a precedence-maximal predicate, and all."""
+        if row.rid not in self._occurrences:
+            occs = [
+                (j, ".".join(map(str, p)) or "-", a, _shape(a))
+                for j, (p, a) in enumerate(L.atom_paths(row.formula))
+            ]
+            ranks = [_RANK.get(getattr(occ[2], "pred", "="), -1) for occ in occs]
+            best = max(ranks, default=None)
+            own = [occ for occ, rank in zip(occs, ranks) if rank == best]
+            self._occurrences[row.rid] = (own, occs)
+        return self._occurrences[row.rid]
+
+    def index(self, active: list[Row]) -> tuple[dict, dict]:
+        """Enter the rows appended to active since the last call; return the
+        index of occurrences and that of sides, each list in active order."""
+        for k in range(self._indexed, len(active)):
+            for occ in self.occurrences(active[k])[1]:
+                shapes = self._index.setdefault(L.head(occ[2]), {})
+                shapes.setdefault(occ[3], []).append((k, *occ))
+            for direction, side in _rewriting_sides(active[k]):
+                shapes = self._sides.setdefault(L.head(side), {})
+                shapes.setdefault(_shape(side), []).append((k, direction))
+        self._indexed = len(active)
+        return self._index, self._sides
+
+    def live(self, row: Row, path: str, constant: L.Formula) -> bool:
+        """Whether row, with constant put at path, can be a side of a useful move:
+        not if that normalizes to false in a goal or true in an assertion, as a
+        meta-substitution only adds equal sides and never removes a constant."""
+        key = (row.rid, path, constant)
+        if key not in self._live:
+            f = L.normalize(L.replace_at(row.formula, L.parse_path(path), constant))
+            self._live[key] = not _vacuous(row.kind, f)
+        return self._live[key]
+
+
+def _meeting(index: dict, atom: L.Node, shape: tuple):
+    """The entries of index under atom's head whose shape meets shape: a
+    one-level discrimination tree, compared once per distinct shape."""
+    for other, entries in index.get(L.head(atom), {}).items():
+        if _meets(shape, other):
+            yield from entries
+
+
 def moves_for(row: Row, active: list[Row], kept: _KeptRows):
     """The moves search applies when it activates row, in the order it applies them.
 
-    The unary moves come first, then the pair moves with each active row.
-    Literal selection restricts the activated row; the partner row may be
-    boxed at any atom occurrence.  A pair move whose outcome is known
-    beforehand (see search) is not yielded.
-    """
+    The unary moves come first, then the pair moves with each active row
+    in turn: resolve by (own, partner) occurrence, then iffrepl with the
+    active row as the iff, then with row as the iff.  Literal selection
+    restricts the activated row, not its partner.  The index meets only
+    pairs whose heads and shapes meet; see search for what is not yielded."""
     yield ("split", row.rid)
     if row.kind == ASSERTION:
         yield ("orphan", row.rid)
     own, _ = kept.occurrences(row)
-    for other in active:
-        _, partner = kept.occurrences(other)
-        for (path1, a1), (path2, a2) in itertools.product(own, partner):
-            if _pred(a1) != _pred(a2) or _clash(a1, a2):
-                continue
-            if kept.live(row, path1, L.TRUE) and kept.live(other, path2, L.FALSE):
-                yield ("resolve", row.rid, path1, other.rid, path2)
-            if kept.live(other, path2, L.TRUE) and kept.live(row, path1, L.FALSE):
-                yield ("resolve", other.rid, path2, row.rid, path1)
-        for iff, target, occs in ((other, row, own), (row, other, partner)):
-            if not (isinstance(iff.formula, L.Iff) and kept.live(iff, "-", L.FALSE)):
-                continue
-            sides = (("ltr", iff.formula.lhs), ("rtl", iff.formula.rhs))
-            for (path, atom), (direction, side) in itertools.product(occs, sides):
-                if not _clash(side, atom):
-                    yield ("iffrepl", iff.rid, "-", target.rid, path, direction)
-
-
-def _canonical_key(row: Row) -> tuple:
-    """Row identity up to metavar renaming, for duplicate pruning.
-
-    The output entry does not participate beyond its presence: rows
-    restating a formula with a different program fragment are pruned in
-    favor of the first one found.
-    """
-    return (row.kind, L.canonical(row.formula), row.output is None)
+    index, sides = kept.index(active)
+    rid, live, moves = row.rid, kept.live, []  # moves: (sort key, move); "ltr" < "rtl"
+    for i, path1, atom, shape1 in own:
+        for k, j, path2, *_ in _meeting(index, atom, shape1):
+            other = active[k]
+            if live(row, path1, L.TRUE) and live(other, path2, L.FALSE):
+                moves.append(((k, 0, i, j, 0), ("resolve", rid, path1, other.rid, path2)))
+            if live(other, path2, L.TRUE) and live(row, path1, L.FALSE):
+                moves.append(((k, 0, i, j, 1), ("resolve", other.rid, path2, rid, path1)))
+        for k, way in _meeting(sides, atom, shape1):
+            moves.append(((k, 1, i, way), ("iffrepl", active[k].rid, "-", rid, path1, way)))
+    for way, side in _rewriting_sides(row):
+        for k, j, path2, *_ in _meeting(index, side, _shape(side)):
+            moves.append(((k, 2, j, way), ("iffrepl", rid, "-", active[k].rid, path2, way)))
+    yield from (move for _, move in sorted(moves))
 
 
 def search(
@@ -431,21 +457,19 @@ def search(
 
     A resolve or iffrepl move whose outcome is known beforehand is never
     yielded, so nothing is renamed apart or unified for it: its two atoms,
-    or the iff side and the target atom, clash in a node type, predicate or
-    function symbol; or one side is not live, that is, the row with its
-    occurrence put true (row 1) or false (row 2) normalizes to false in a
-    goal or true in an assertion, which makes every result vacuous.  Only
-    the counter of fresh names differs from trying them.
+    or the iff side and the target atom, differ in head or argument shape;
+    or one side is not live (_KeptRows.live), which makes every result
+    vacuous.  Only the counter of fresh names differs from trying them.
     """
     tableau = make_tableau(theory, spec_name)
     for name in sorted(theory.lemmas):
         tableau.add_assertion(name=name)
-    seen = {_canonical_key(r) for r in tableau.rows}
+    seen = {_key_and_weight(r, config)[0] for r in tableau.rows}
     # the theory's lemmas are usable from the start; only derived rows and
     # the initial goal wait in the passive queue, where no two share a rid
     active: list[Row] = [r for r in tableau.rows if r.step[0] == "assert"]
     goal = tableau.rows[0]
-    passive = [(_formula_weight(goal.formula, config), goal.rid, goal)]
+    passive = [(_key_and_weight(goal, config)[1], goal.rid, goal)]
     kept = _KeptRows()
 
     while passive and len(tableau.rows) < config.max_rows:
@@ -464,11 +488,11 @@ def search(
                     return tableau, replace(program, body=P.simplify(program.body))
             keep_any = False
             for r in batch:
-                if _vacuous(r.kind, r.formula) or (key := _canonical_key(r)) in seen:
-                    continue
-                seen.add(key)
-                keep_any = True
-                heapq.heappush(passive, (_formula_weight(r.formula, config), r.rid, r))
+                key, weight = _key_and_weight(r, config)
+                if not (_vacuous(r.kind, r.formula) or key in seen):
+                    seen.add(key)
+                    keep_any = True
+                    heapq.heappush(passive, (weight, r.rid, r))
             if not keep_any:
                 tableau.truncate(before)
         active.append(row)

@@ -282,6 +282,8 @@ def map_node(node: Node, leaf: Callable[[Node], Optional[Node]]) -> Node:
         return new
     kids, rebuild = _SHAPES[type(node)]
     old = kids(node)
+    if not old:
+        return node
     mapped = tuple([map_node(k, leaf) for k in old])
     if all(map(operator.is_, mapped, old)):
         return node

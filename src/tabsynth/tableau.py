@@ -119,7 +119,13 @@ class Row:
     formula: Formula
     output: LTerm | None
     step: tuple  # the step that made the row, as engine.apply_step takes it
-    unifier: str = ""  # the text of the unifier the step applied, if any
+    theta: tuple | None = None  # the unifier the step applied, as sorted pairs
+
+    @property
+    def unifier(self) -> str:
+        """The text of the unifier the step applied, or "" if it applied none."""
+        pairs = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in self.theta or ())
+        return "" if self.theta is None else "{" + pairs + "}"
 
     @cached_property
     def metavar_names(self) -> frozenset[str]:
@@ -175,12 +181,12 @@ class ProgramDef:
         return compile(self)
 
 
-def _mk_cond(test: Formula, then: LTerm, els: LTerm) -> LTerm:
-    if then == els:
+def _mk_cond(test: Formula, then: LTerm | None, els: LTerm | None) -> LTerm | None:
+    """The conditional on test of then and els, simplified; a missing branch
+    leaves the other."""
+    if els is None or then == els or isinstance(test, TrueF):
         return then
-    if isinstance(test, TrueF):
-        return then
-    if isinstance(test, FalseF):
+    if then is None or isinstance(test, FalseF):
         return els
     return Cond(test, then, els)
 
@@ -223,9 +229,9 @@ class Tableau:
         self._append(GOAL, cond, self.spec.output, ("init",))
 
     def _append(
-        self, kind: str, formula: Formula, output: LTerm | None, step: tuple, unifier=""
+        self, kind: str, formula: Formula, output: LTerm | None, step: tuple, theta=None
     ) -> Row:
-        row = Row(len(self.rows) + 1, kind, formula, output, step, unifier)
+        row = Row(len(self.rows) + 1, kind, formula, output, step, theta)
         self.rows.append(row)
         return row
 
@@ -253,12 +259,9 @@ class Tableau:
 
     # -- fresh renaming (standardize apart) ---------------------------
 
-    def _rename_apart(self, row1: Row, row2: Row):
-        """Row 2's formula and output with every metavar fresh-renamed.
-
-        A fresh name skips the names row 1 uses; StandardizeApartError
-        guards that the rows share none.
-        """
+    def _rename_apart(self, row1: Row, row2: Row) -> dict[str, str]:
+        """A fresh name for each metavar of row 2, formula and output, skipping
+        the names row 1 uses; StandardizeApartError guards that they share none."""
         mapping = {}
         for name in sorted(row2.metavar_names):
             base = name.split("#", 1)[0]
@@ -272,11 +275,7 @@ class Tableau:
                 f"rows {row1.rid} and {row2.rid} share {sorted(shared)} "
                 "after standardizing apart"
             )
-        out = row2.output
-        return (
-            L.rename_metavars(row2.formula, mapping),
-            None if out is None else L.rename_metavars(out, mapping),
-        )
+        return mapping
 
     # -- row-entry operations ------------------------------------------
 
@@ -352,27 +351,20 @@ class Tableau:
         same orientation.
         """
         row1, row2 = self.row(rid1), self.row(rid2)
-        f2, out2 = self._rename_apart(row1, row2)
+        fresh = self._rename_apart(row1, row2)
         p1, p2 = L.parse_path(path1), L.parse_path(path2)
         occ1 = self._formula_at(row1.formula, p1)
-        occ2 = self._formula_at(f2, p2)
+        occ2 = L.rename_metavars(self._formula_at(row2.formula, p2), fresh)
         theta = L.term_unify(occ2, occ1, self.sig)
         if theta is None:
             raise NotUnifiableError(
                 f"{L.print_formula(occ1)} does not unify with {L.print_formula(occ2)}"
             )
-        test = L.apply_subst(occ1, theta)
-        g1 = self._goal_sense(
-            L.apply_subst(L.replace_at(row1.formula, p1, L.TRUE), theta),
-            row1.kind,
-        )
-        g2 = self._goal_sense(
-            L.apply_subst(L.replace_at(f2, p2, L.FALSE), theta), row2.kind
-        )
-        combined = normalize(And((g1, g2)))
-        output = self._outputs(test, row1.output, out2, theta)
+        sub2 = _renamed_then(fresh, theta)
+        part1 = L.apply_subst(L.replace_at(row1.formula, p1, L.TRUE), theta)
+        part2 = sub2(L.replace_at(row2.formula, p2, L.FALSE))
         step = ("resolve", rid1, path1, rid2, path2)
-        return self._emit(combined, row1.kind, row2.kind, output, step, theta)
+        return self._emit(step, theta, sub2, row1, part1, row2, part2, occ1)
 
     # -- replacement rules ----------------------------------------------
 
@@ -394,32 +386,26 @@ class Tableau:
         eqnode = L.get_at(row1.formula, p1)
         if not isinstance(eqnode, node_type):
             raise BadPathError(f"row {rid1} at {path1} is not {node_type.__name__}")
-        f2, out2 = self._rename_apart(row1, row2)
-        target = L.get_at(f2, p2)
+        fresh = self._rename_apart(row1, row2)
+        target = L.get_at(row2.formula, p2)
         if node_type is Eq and not isinstance(target, (MetaVar, Apply, Cond)):
             raise BadPathError("equality replacement needs a term occurrence")
         if node_type is Iff and not isinstance(
             target, (Atom, Eq, Not, And, Or, Implies, Iff, TrueF, FalseF)
         ):
             raise BadPathError("equivalence replacement needs a formula occurrence")
-        src, dst = (
-            (eqnode.lhs, eqnode.rhs) if direction == "ltr" else (eqnode.rhs, eqnode.lhs)
-        )
-        theta = L.term_unify(target, src, self.sig)
+        sides = (eqnode.lhs, eqnode.rhs)
+        src, dst = sides if direction == "ltr" else sides[::-1]
+        theta = L.term_unify(L.rename_metavars(target, fresh), src, self.sig)
         if theta is None:
             raise NotUnifiableError("selected occurrence does not unify with the side")
-        rewritten = L.apply_subst(L.replace_at(f2, p2, dst), theta)
-        g1 = self._goal_sense(
-            L.apply_subst(L.replace_at(row1.formula, p1, L.FALSE), theta),
-            row1.kind,
-        )
-        g2 = self._goal_sense(rewritten, row2.kind)
-        combined = normalize(And((g1, g2)))
-        test = L.apply_subst(eqnode, theta)
-        output = self._outputs(test, out2, row1.output, theta)
+        sub2 = _renamed_then(fresh, theta)
+        part1 = L.apply_subst(L.replace_at(row1.formula, p1, L.FALSE), theta)
+        # substituting commutes with replacing: dst, from row 1, takes only theta
+        part2 = L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta))
         rule = "eqrepl" if node_type is Eq else "iffrepl"
         step = (rule, rid1, path1, rid2, path2, direction)
-        return self._emit(combined, row1.kind, row2.kind, output, step, theta)
+        return self._emit(step, theta, sub2, row1, part1, row2, part2, eqnode)
 
     # -- induction -------------------------------------------------------
 
@@ -488,21 +474,22 @@ class Tableau:
             raise BadPathError("resolution selects atomic subformulas")
         return occ
 
-    def _goal_sense(self, f: Formula, kind: str) -> Formula:
-        return f if kind == GOAL else Not(f)
-
-    def _outputs(self, test, then_out, else_out, theta):
-        t1 = L.apply_subst(then_out, theta) if then_out is not None else None
-        t2 = L.apply_subst(else_out, theta) if else_out is not None else None
-        if t1 is not None and t2 is not None:
-            return _mk_cond(test, t1, t2)
-        return t1 if t1 is not None else t2
-
-    def _emit(self, combined, kind1, kind2, output, step, theta) -> Row:
-        unifier = _print_meta(theta)
-        if kind1 == ASSERTION and kind2 == ASSERTION:
-            return self._append(ASSERTION, normalize(Not(combined)), output, step, unifier)
-        return self._append(GOAL, combined, output, step, unifier)
+    def _emit(self, step, theta, sub2, row1, part1, row2, part2, occ1) -> Row:
+        """The row a pair rule makes of part1 of row 1 and part2 of row 2, both
+        under theta, each negated in an assertion.  The parents' outputs, under
+        theta (sub2 for row 2), join in a conditional on theta(occ1): row 1's
+        first for resolve, row 2's for a replacement."""
+        g1 = part1 if row1.kind == GOAL else Not(part1)
+        g2 = part2 if row2.kind == GOAL else Not(part2)
+        combined = normalize(And((g1, g2)))
+        out1 = row1.output and L.apply_subst(row1.output, theta)
+        outs = (out1, row2.output and sub2(row2.output))
+        then, els = outs if step[0] == "resolve" else outs[::-1]
+        output = _mk_cond(L.apply_subst(occ1, theta), then, els)
+        theta = tuple(sorted(theta.items()))
+        if row1.kind == ASSERTION and row2.kind == ASSERTION:
+            return self._append(ASSERTION, normalize(Not(combined)), output, step, theta)
+        return self._append(GOAL, combined, output, step, theta)
 
 
 def _distribute(f: Formula, outer: type, inner: type) -> Formula:
@@ -527,9 +514,15 @@ def _instantiate_params(f: Formula, sub: dict[str, MetaVar]) -> Formula:
     )
 
 
-def _print_meta(theta: L.MetaSubst) -> str:
-    inner = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in sorted(theta.items()))
-    return "{" + inner + "}"
+def _renamed_then(fresh: dict[str, str], theta: L.MetaSubst):
+    """A function taking a part of row 2 to that part renamed by fresh, then
+    substituted by theta, in one walk."""
+    def leaf(n: L.Node):
+        if type(n) is MetaVar:
+            return theta.get(fresh[n.name]) or MetaVar(fresh[n.name], n.sort)
+        return None
+
+    return lambda node: L.map_node(node, leaf)
 
 
 def equal_up_to_renaming(a: L.Node | tuple, b: L.Node | tuple) -> bool:

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,6 +362,77 @@ def test_mutated_texts_exit_cleanly(texts):
     runs = [
         ["unify", env, "--", e1, e2],
         ["check-mgiu", env, "--", e1, e2, texts["candidate"]],
+    ]
+    for argv in runs:
+        code, err = _run_quietly(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "internal error" not in err and "Traceback" not in err, (argv, err)
+        if code == 2:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+_BUNDLE = {
+    name: resources.files("tabsynth.data").joinpath(name).read_text()
+    for name in ("unify.thy", "unify.derivation", "unify_program.golden")
+}
+# what a mutation puts in: parentheses, names, paths, rule and declaration words
+_BUNDLE_PIECES = [
+    "(", ")", "X", "X#3", "TH:subst", "E:expr", "-", "1", "2.1", "0", "99", "ltr",
+    "resolve", "iffrepl", "assert", "extract", "lemma", "spec", "wfrel", "output",
+    "and", "not", "iff", "=", "if", "true", "#", "e1", "th0", "unify", "bot", "define",
+]
+
+
+@st.composite
+def _mutated_bundle(draw):
+    """The bundled theory, derivation and golden program, one of them mutated
+    one to three times: a line deleted, duplicated or swapped, or a token
+    put in, replaced or deleted."""
+    texts = dict(_BUNDLE)
+    name = draw(st.sampled_from(sorted(texts)))
+    lines = texts[name].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = re.findall(r"[()]|[^\s()]+", lines[i])
+            k = draw(st.integers(0, len(tokens)))
+            piece = draw(st.sampled_from(_BUNDLE_PIECES))
+            how = draw(st.sampled_from(["insert", "replace", "delete"]))
+            if how == "insert" or k == len(tokens):
+                tokens.insert(k, piece)
+            elif how == "replace":
+                tokens[k] = piece
+            else:
+                del tokens[k]
+            lines[i] = " ".join(tokens)
+    texts[name] = "\n".join(lines) + "\n"
+    return texts
+
+
+@settings(max_examples=25, deadline=None)
+@given(texts=_mutated_bundle())
+def test_mutated_bundle_exits_cleanly(tmp_path_factory, texts):
+    # replay, a short search and the golden program's run, each on the bundle
+    # with one file mutated; the search pairs the mutated theory's rows
+    where = tmp_path_factory.mktemp("bundle")
+    for name, text in texts.items():
+        (where / name).write_text(text)
+    thy, script, golden = (
+        str(where / name) for name in ("unify.thy", "unify.derivation", "unify_program.golden")
+    )
+    runs = [
+        ["replay", script, "--theory", thy, "--spec", "unify"],
+        ["search", "--theory", thy, "--spec", "unify", "--max-rows", "60"],
+        ["run", golden, "{Z -> a}", "(X . b)", "(a . Y)", "--check-decrease"],
     ]
     for argv in runs:
         code, err = _run_quietly(argv)

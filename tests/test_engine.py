@@ -10,7 +10,7 @@ from tabsynth import engine
 from tabsynth import logic as L
 from tabsynth import program as P
 from tabsynth.logic import MetaVar
-from tabsynth.tableau import ASSERTION, NotUnifiableError, Tableau
+from tabsynth.tableau import ASSERTION, GOAL, NotUnifiableError, Row, Tableau
 from tabsynth.wf import Base
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
@@ -181,7 +181,8 @@ def test_deep_term_walks_do_not_recurse():
     f = L.Eq(chain, MetaVar("Y", "expr"))
     assert L.metavars_of(f) == {MetaVar("X", "expr"), MetaVar("Y", "expr")}
     # 5000 conses, 5000 e1 leaves, X, Y and the equality, at weight 1 each
-    assert engine._formula_weight(f, engine.SearchConfig()) == 10003
+    row = Row(1, GOAL, f, None, ("init",))
+    assert engine._key_and_weight(row, engine.SearchConfig())[1] == 10003
 
 
 def test_search_full_theory_exhausts_gracefully(unify_theory):
@@ -287,17 +288,45 @@ def test_malformed_script_command_is_named(unify_theory):
 FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
 
 
-def _reference_moves(row, active, kept):
+# the search's predicate, shape and live tests before it indexed occurrences,
+# kept as the reference its moves are checked against
+
+
+def _pred(atom) -> str:
+    return atom.pred if isinstance(atom, L.Atom) else "="
+
+
+def _clash(a, b) -> bool:
+    """Whether a and b cannot unify, judged by their own and their children's tops."""
+    ka, kb = L.children(a), L.children(b)
+    if L.head(a) != L.head(b) or len(ka) != len(kb):
+        return True
+    return any(
+        L.head(s) != L.head(t) or len(L.children(s)) != len(L.children(t))
+        for s, t in zip(ka, kb)
+        if type(s) is not MetaVar and type(t) is not MetaVar
+    )
+
+
+def _occurrences(row):
+    """The row's (path text, atom) occurrences: selected, and all."""
+    occs = [(".".join(map(str, p)) or "-", a) for p, a in L.atom_paths(row.formula)]
+    ranks = [engine._RANK.get(_pred(a), -1) for _, a in occs]
+    best = max(ranks, default=None)
+    return [occ for occ, rank in zip(occs, ranks) if rank == best], occs
+
+
+def _reference_moves(row, active):
     """Every move search once built on activating row, doomed or not, in its order:
     each same-predicate resolve pair both ways, each iffrepl against an iff row."""
     yield ("split", row.rid)
     if row.kind == ASSERTION:
         yield ("orphan", row.rid)
-    own, _ = kept.occurrences(row)
+    own, _ = _occurrences(row)
     for other in active:
-        _, partner = kept.occurrences(other)
+        _, partner = _occurrences(other)
         for (path1, a1), (path2, a2) in itertools.product(own, partner):
-            if engine._pred(a1) == engine._pred(a2):
+            if _pred(a1) == _pred(a2):
                 yield ("resolve", row.rid, path1, other.rid, path2)
                 yield ("resolve", other.rid, path2, row.rid, path1)
         for iff, target, paths in ((other, row, own), (row, other, partner)):
@@ -307,19 +336,38 @@ def _reference_moves(row, active, kept):
                     yield ("iffrepl", iff.rid, "-", target.rid, path, "rtl")
 
 
-def _is_subsequence(short, long) -> bool:
-    rest = iter(long)
-    return all(item in rest for item in short)
+def _may_try(move, rows, live) -> bool:
+    """Whether the old shape and live tests let the search try a reference move.
+
+    rows maps a rid to its row; live(rid, path, constant) is whether that
+    row, with constant put at path, does not normalize to a vacuous row.
+    """
+    if move[0] == "resolve":
+        _, rid1, path1, rid2, path2 = move
+        a1 = L.get_at(rows[rid1].formula, L.parse_path(path1))
+        a2 = L.get_at(rows[rid2].formula, L.parse_path(path2))
+        return not _clash(a1, a2) and live(rid1, path1, L.TRUE) and live(rid2, path2, L.FALSE)
+    if move[0] == "iffrepl":
+        _, iff, _, target, path, direction = move
+        side = getattr(rows[iff].formula, "lhs" if direction == "ltr" else "rhs")
+        atom = L.get_at(rows[target].formula, L.parse_path(path))
+        return live(iff, "-", L.FALSE) and not _clash(side, atom)
+    return True
 
 
 def _watch(monkeypatch, thy, spec, rows) -> types.SimpleNamespace:
     """Run a search; return its result, its tableau, the steps it applied,
-    the rows it activated, the moves it skipped, and the number of calls
-    of each pair rule."""
+    the rows it activated, the moves it skipped, the number of calls of
+    each pair rule, and per activation the moves yielded with the
+    reference moves the old tests let it try.  Count the occurrence pairs
+    the index meets and the shape comparisons it makes."""
     theory = engine.load_theory((DATA / thy).read_text())
-    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[])
+    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[], moves=[])
     watched.calls = {"resolve": 0, "equivalence_replace": 0}
+    watched.pairs = watched.comparisons = 0
     make, apply, moves_for = engine.make_tableau, engine.apply_step, engine.moves_for
+    meeting, meets = engine._meeting, engine._meets
+    known = {}  # (rid, path, constant) -> live; rids of kept rows are never reused
 
     def make_and_keep(*args):
         watched.tableau = make(*args)
@@ -331,16 +379,37 @@ def _watch(monkeypatch, thy, spec, rows) -> types.SimpleNamespace:
 
     def moves_and_skipped(row, active, kept):
         watched.activated.append(row)
-        reference = list(_reference_moves(row, active, kept))
+        rows = {r.rid: r for r in [*active, row]}
+
+        def live(rid, path, constant):
+            if (rid, path, constant) not in known:
+                r = rows[rid]
+                f = L.normalize(L.replace_at(r.formula, L.parse_path(path), constant))
+                vacuous = L.FalseF if r.kind == GOAL else L.TrueF
+                known[rid, path, constant] = not isinstance(f, vacuous)
+            return known[rid, path, constant]
+
+        reference = list(_reference_moves(row, active))
         yielded = list(moves_for(row, active, kept))
-        assert _is_subsequence(yielded, reference)
+        watched.moves.append((yielded, [m for m in reference if _may_try(m, rows, live)]))
         tried = set(yielded)
         watched.skipped.extend(m for m in reference if m not in tried)
         yield from yielded
 
+    def meeting_counted(*args):
+        for entry in meeting(*args):
+            watched.pairs += 1
+            yield entry
+
+    def meets_counted(*args):
+        watched.comparisons += 1
+        return meets(*args)
+
     monkeypatch.setattr(engine, "make_tableau", make_and_keep)
     monkeypatch.setattr(engine, "apply_step", apply_and_note)
     monkeypatch.setattr(engine, "moves_for", moves_and_skipped)
+    monkeypatch.setattr(engine, "_meeting", meeting_counted)
+    monkeypatch.setattr(engine, "_meets", meets_counted)
     for name in watched.calls:
         rule = getattr(Tableau, name)
 
@@ -400,6 +469,28 @@ def test_skipped_moves_fail_to_unify_or_are_vacuous(monkeypatch, thy, spec, rows
         dead = L.TrueF if row.kind == ASSERTION else L.FalseF
         assert isinstance(row.formula, dead), move
         tableau.truncate(before)
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows", [("unify_same.thy", "unify-same", 200), ("unify.thy", "unify", 300)]
+)
+def test_moves_for_yields_exactly_the_reference_moves_it_may_try(
+    monkeypatch, thy, spec, rows
+):
+    # the index meets every pair the old per-pair loop let through, in its order
+    watched = _watch(monkeypatch, thy, spec, rows)
+    assert len(watched.moves) == len(watched.activated) > 1
+    for yielded, expected in watched.moves:
+        assert yielded == expected
+
+
+def test_search_meets_at_most_two_pairs_per_move_tried(monkeypatch):
+    # each occurrence pair the index meets, and each shape comparison, is
+    # work done per move tried; the pairwise loop made 2,125 shape tests here
+    watched = _watch(monkeypatch, "unify.thy", "unify", 300)
+    tried = len(watched.steps)
+    assert (tried, watched.pairs, watched.comparisons) == (815, 1285, 381)
+    assert watched.pairs <= 2 * tried and watched.comparisons <= 2 * tried
 
 
 def test_full_theory_search_keeps_the_same_rows(monkeypatch):
@@ -468,6 +559,8 @@ def test_full_theory_search_recreates_the_pinned_derivation_rows(
 
 
 def test_clash_agrees_with_term_unify():
+    # the index meets two atoms exactly when the old clash test kept them,
+    # and never keeps apart two that unify
     x = MetaVar("X", "expr")
     terms = [
         x,
@@ -480,4 +573,6 @@ def test_clash_agrees_with_term_unify():
     for s, t in itertools.product(terms, repeat=2):
         a, b = L.Atom("is-var", (s,)), L.Atom("is-var", (t,))
         unifies = L.term_unify(a, b, sig) is not None
-        assert not (engine._clash(a, b) and unifies), (s, t)
+        meets = engine._meets(engine._shape(a), engine._shape(b))
+        assert meets == (not _clash(a, b)), (s, t)
+        assert meets or not unifies, (s, t)

@@ -15,6 +15,7 @@ from tabsynth.tableau import (
     Tableau,
     UnknownLemmaError,
     UnknownRelationError,
+    _mk_cond,
     equal_up_to_renaming,
 )
 from tabsynth.wf import U_REL
@@ -209,6 +210,104 @@ def test_renaming_apart_skips_the_names_of_the_other_row():
             new = tab.resolve(row.rid, "-", 1, "2")
         assert "TH#2" in new.unifier
         assert not new.metavar_names & tab.rows[0].metavar_names
+
+
+# -- the one-walk construction against renaming row 2 whole -----------------
+
+
+def _renamed_whole(tab, row1, row2):
+    """Row 2's formula and output with every metavar fresh-renamed, as the
+    pair rules once renamed them before unifying, and the counter after."""
+    fresh, mapping = tab._fresh, {}
+    for name in sorted(row2.metavar_names):
+        base = name.split("#", 1)[0]
+        fresh += 1
+        while f"{base}#{fresh}" in row1.metavar_names:
+            fresh += 1
+        mapping[name] = f"{base}#{fresh}"
+    out = row2.output
+    renamed = (L.rename_metavars(row2.formula, mapping), out and L.rename_metavars(out, mapping))
+    return renamed, fresh
+
+
+def _old_construction(tab, rule, rid1, path1, rid2, path2, direction=None):
+    """(kind, formula, output, unifier text, counter) of the row rule makes,
+    built as it once was: row 2 renamed whole, then each part substituted."""
+    row1, row2 = tab.row(rid1), tab.row(rid2)
+    (f2, out2), fresh = _renamed_whole(tab, row1, row2)
+    p1, p2 = L.parse_path(path1), L.parse_path(path2)
+    node1 = L.get_at(row1.formula, p1)
+    if rule == "resolve":
+        theta = L.term_unify(L.get_at(f2, p2), node1, tab.sig)
+        part1, part2 = L.replace_at(row1.formula, p1, L.TRUE), L.replace_at(f2, p2, L.FALSE)
+        then, els = row1.output, out2
+    else:
+        src, dst = (node1.lhs, node1.rhs) if direction == "ltr" else (node1.rhs, node1.lhs)
+        theta = L.term_unify(L.get_at(f2, p2), src, tab.sig)
+        part1, part2 = L.replace_at(row1.formula, p1, L.FALSE), L.replace_at(f2, p2, dst)
+        then, els = out2, row1.output
+    sub = lambda n: None if n is None else L.apply_subst(n, theta)  # noqa: E731
+    g1, g2 = sub(part1), sub(part2)
+    g1, g2 = (g if r.kind == GOAL else Not(g) for g, r in ((g1, row1), (g2, row2)))
+    formula = L.normalize(L.And((g1, g2)))
+    kind = ASSERTION if row1.kind == row2.kind == ASSERTION else GOAL
+    if kind == ASSERTION:
+        formula = L.normalize(Not(formula))
+    then, els = sub(then), sub(els)
+    both = then is not None and els is not None
+    output = _mk_cond(sub(node1), then, els) if both else then or els
+    unifier = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in sorted(theta.items()))
+    return kind, formula, output, "{" + unifier + "}", fresh
+
+
+def _collision_tableau():
+    """Rows whose names collide, each with an output metavar its formula lacks."""
+    tab = fresh_tableau(strict=False)
+    sig = tab.sig
+
+    def assume(formula, output):
+        return tab.assume(parse_formula(formula, sig), parse_term(output, sig)).rid
+
+    # S#1 in row 1 is the name the counter offers row 2's S first
+    r1 = assume("(idem TH:subst)", "(compose TH:subst S#1:subst)")
+    r2 = assume("(implies (idem TH:subst) (more-genid TH S:subst))", "(compose S V:subst)")
+    r3 = assume("(iff (idem TH:subst) (more-genid TH TH))", "(compose TH W:subst)")
+    r4 = assume("(= (compose TH:subst empty-subst) TH)", "(compose TH S#1:subst)")
+    r5 = assume(
+        "(implies (idem (compose TH:subst S:subst)) (more-genid (compose TH S) TH))",
+        "(compose S V:subst)",
+    )
+    r6 = assume("(more-genid W:subst TH:subst)", "(compose TH W)")
+    return tab, {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6}
+
+
+@pytest.mark.parametrize(
+    "rule, args",
+    [
+        ("resolve", ("r1", "-", "r2", "1")),
+        ("resolve", ("r2", "1", "r1", "-")),
+        ("resolve", ("r2", "1", "r2", "1")),
+        # a unifier of two bindings, made in the reverse of their sorted order
+        ("resolve", ("r6", "-", "r2", "2")),
+        ("equivalence_replace", ("r3", "-", "r2", "1", "ltr")),
+        ("equivalence_replace", ("r3", "-", "r1", "-", "ltr")),
+        # the unifier binds row 1's TH, which the side put in occurs in
+        ("equivalence_replace", ("r3", "-", "r5", "1", "ltr")),
+        ("equality_replace", ("r4", "-", "r5", "2.1", "rtl")),
+        ("equality_replace", ("r4", "-", "r2", "2.1", "rtl")),
+        ("equality_replace", ("r4", "-", "r1", "1", "rtl")),
+    ],
+)
+def test_one_walk_resolvent_equals_renaming_row_2_whole(rule, args):
+    # row 2 is renamed apart only at the selected occurrence, and then
+    # substituted in one walk; names, outputs and the unifier text match
+    tab, rids = _collision_tableau()
+    rid1, path1, rid2, path2, *direction = (rids.get(a, a) for a in args)
+    kind = "resolve" if rule == "resolve" else "replace"
+    want = _old_construction(tab, kind, rid1, path1, rid2, path2, *direction)
+    row = getattr(tab, rule)(rid1, path1, rid2, path2, *direction)
+    assert (row.kind, row.formula, row.output, row.unifier, tab._fresh) == want
+    assert row.output is not None
 
 
 # -- replacements -------------------------------------------------------------
