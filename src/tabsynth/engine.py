@@ -362,10 +362,10 @@ class _KeptRows:
     def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
         self._live: dict[tuple[int, str, L.Formula], bool] = {}
-        # head -> shape -> (active position, *occurrence or direction)
-        self._index: dict[tuple, dict[tuple, list]] = {}
-        self._sides: dict[tuple, dict[tuple, list]] = {}
-        self._indexed = 0  # the length of the active list indexed so far
+        # head -> shape -> (active position, occurrence position, path text)
+        # or (active position, direction)
+        self.index: dict[tuple, dict[tuple, list]] = {}
+        self.sides: dict[tuple, dict[tuple, list]] = {}
 
     def occurrences(self, row: Row) -> tuple[list, list]:
         """The row's atom occurrences as (position, path text, atom, shape):
@@ -381,18 +381,14 @@ class _KeptRows:
             self._occurrences[row.rid] = (own, occs)
         return self._occurrences[row.rid]
 
-    def index(self, active: list[Row]) -> tuple[dict, dict]:
-        """Enter the rows appended to active since the last call; return the
-        index of occurrences and that of sides, each list in active order."""
-        for k in range(self._indexed, len(active)):
-            for occ in self.occurrences(active[k])[1]:
-                shapes = self._index.setdefault(L.head(occ[2]), {})
-                shapes.setdefault(occ[3], []).append((k, *occ))
-            for direction, side in _rewriting_sides(active[k]):
-                shapes = self._sides.setdefault(L.head(side), {})
-                shapes.setdefault(_shape(side), []).append((k, direction))
-        self._indexed = len(active)
-        return self._index, self._sides
+    def activate(self, row: Row, k: int) -> None:
+        """Index row's occurrences and rewriting sides as active row k; rows
+        enter in active order, so each list is in active order."""
+        for j, path, atom, shape in self.occurrences(row)[1]:
+            self.index.setdefault(L.head(atom), {}).setdefault(shape, []).append((k, j, path))
+        for direction, side in _rewriting_sides(row):
+            shapes = self.sides.setdefault(L.head(side), {})
+            shapes.setdefault(_shape(side), []).append((k, direction))
 
     def live(self, row: Row, path: str, constant: L.Formula) -> bool:
         """Whether row, with constant put at path, can be a side of a useful move:
@@ -425,10 +421,10 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
     if row.kind == ASSERTION:
         yield ("orphan", row.rid)
     own, _ = kept.occurrences(row)
-    index, sides = kept.index(active)
+    index, sides = kept.index, kept.sides
     rid, live, moves = row.rid, kept.live, []  # moves: (sort key, move); "ltr" < "rtl"
     for i, path1, atom, shape1 in own:
-        for k, j, path2, *_ in _meeting(index, atom, shape1):
+        for k, j, path2 in _meeting(index, atom, shape1):
             other = active[k]
             if live(row, path1, L.TRUE) and live(other, path2, L.FALSE):
                 moves.append(((k, 0, i, j, 0), ("resolve", rid, path1, other.rid, path2)))
@@ -437,7 +433,7 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
         for k, way in _meeting(sides, atom, shape1):
             moves.append(((k, 1, i, way), ("iffrepl", active[k].rid, "-", rid, path1, way)))
     for way, side in _rewriting_sides(row):
-        for k, j, path2, *_ in _meeting(index, side, _shape(side)):
+        for k, j, path2 in _meeting(index, side, _shape(side)):
             moves.append(((k, 2, j, way), ("iffrepl", rid, "-", active[k].rid, path2, way)))
     yield from (move for _, move in sorted(moves))
 
@@ -471,6 +467,8 @@ def search(
     goal = tableau.rows[0]
     passive = [(_key_and_weight(goal, config)[1], goal.rid, goal)]
     kept = _KeptRows()
+    for k, lemma in enumerate(active):
+        kept.activate(lemma, k)
 
     while passive and len(tableau.rows) < config.max_rows:
         row = heapq.heappop(passive)[-1]
@@ -495,5 +493,6 @@ def search(
                     heapq.heappush(passive, (weight, r.rid, r))
             if not keep_any:
                 tableau.truncate(before)
+        kept.activate(row, len(active))
         active.append(row)
     return None

@@ -184,11 +184,11 @@ class ProgramDef:
 def _mk_cond(test: Formula, then: LTerm | None, els: LTerm | None) -> LTerm | None:
     """The conditional on test of then and els, simplified; a missing branch
     leaves the other."""
-    if els is None or then == els or isinstance(test, TrueF):
+    if then is None or els is None:
+        return els if then is None else then
+    if then == els or isinstance(test, TrueF):
         return then
-    if then is None or isinstance(test, FalseF):
-        return els
-    return Cond(test, then, els)
+    return els if isinstance(test, FalseF) else Cond(test, then, els)
 
 
 class Tableau:

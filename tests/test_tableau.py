@@ -15,7 +15,6 @@ from tabsynth.tableau import (
     Tableau,
     UnknownLemmaError,
     UnknownRelationError,
-    _mk_cond,
     equal_up_to_renaming,
 )
 from tabsynth.wf import U_REL
@@ -253,9 +252,13 @@ def _old_construction(tab, rule, rid1, path1, rid2, path2, direction=None):
     kind = ASSERTION if row1.kind == row2.kind == ASSERTION else GOAL
     if kind == ASSERTION:
         formula = L.normalize(Not(formula))
-    then, els = sub(then), sub(els)
-    both = then is not None and els is not None
-    output = _mk_cond(sub(node1), then, els) if both else then or els
+    then, els, test = sub(then), sub(els), sub(node1)
+    if then is None or els is None:
+        output = then or els
+    elif then == els or isinstance(test, L.TrueF):
+        output = then
+    else:
+        output = els if isinstance(test, L.FalseF) else Cond(test, then, els)
     unifier = ", ".join(f"{n} -> {L.print_formula(t)}" for n, t in sorted(theta.items()))
     return kind, formula, output, "{" + unifier + "}", fresh
 
@@ -278,7 +281,11 @@ def _collision_tableau():
         "(compose S V:subst)",
     )
     r6 = assume("(more-genid W:subst TH:subst)", "(compose TH W)")
-    return tab, {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6}
+    # true atoms, which put under theta are a test of true; only r8 has an output
+    r7 = tab.assume(L.TRUE).rid
+    r8 = assume("true", "(compose TH:subst W:subst)")
+    rids = {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6}
+    return tab, {**rids, "r7": r7, "r8": r8}
 
 
 @pytest.mark.parametrize(
@@ -296,6 +303,9 @@ def _collision_tableau():
         ("equality_replace", ("r4", "-", "r5", "2.1", "rtl")),
         ("equality_replace", ("r4", "-", "r2", "2.1", "rtl")),
         ("equality_replace", ("r4", "-", "r1", "1", "rtl")),
+        # a missing output leaves the other, whatever the test
+        ("resolve", ("r7", "-", "r8", "-")),
+        ("resolve", ("r8", "-", "r7", "-")),
     ],
 )
 def test_one_walk_resolvent_equals_renaming_row_2_whole(rule, args):
