@@ -286,6 +286,8 @@ class SearchConfig:
     weights: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.max_rows < 0:
+            raise EngineError(f"max_rows must be at least 0, not {self.max_rows}")
         for symbol, w in self.weights.items():
             if type(w) is not int:  # a bool is an int, but no weight
                 raise EngineError(f"weight for {symbol} must be an integer")

@@ -656,68 +656,60 @@ def normalize(f: Formula) -> Formula:
     double negation, and simplifies implications and equivalences with
     constant sides.  Implies and Iff are not expanded.
     """
-    if isinstance(f, (TrueF, FalseF, Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        body = normalize(f.body)
-        if isinstance(body, TrueF):
-            return FALSE
-        if isinstance(body, FalseF):
-            return TRUE
-        if isinstance(body, Not):
-            return body.body
-        if isinstance(body, And):
-            return normalize(Or(tuple(Not(p) for p in body.parts)))
-        if isinstance(body, Or):
-            return normalize(And(tuple(Not(p) for p in body.parts)))
-        if isinstance(body, Implies):
-            return normalize(And((body.antecedent, Not(body.consequent))))
-        return Not(body)
-    if isinstance(f, And):
-        return _normalize_junction(f.parts, And, TrueF, FalseF)
-    if isinstance(f, Or):
-        return _normalize_junction(f.parts, Or, FalseF, TrueF)
-    if isinstance(f, Implies):
-        p = normalize(f.antecedent)
-        q = normalize(f.consequent)
-        if isinstance(p, TrueF):
+    typ = type(f)
+    if typ is Not:
+        return negate(normalize(f.body))
+    if typ is And or typ is Or:
+        return junction(typ, map(normalize, f.parts))
+    if typ is Implies:
+        p, q = normalize(f.antecedent), normalize(f.consequent)
+        if type(p) is TrueF:
             return q
-        if isinstance(p, FalseF) or isinstance(q, TrueF):
+        if type(p) is FalseF or type(q) is TrueF:
             return TRUE
-        if isinstance(q, FalseF):
-            return normalize(Not(p))
-        return Implies(p, q)
-    if isinstance(f, Iff):
-        lhs = normalize(f.lhs)
-        rhs = normalize(f.rhs)
+        return negate(p) if type(q) is FalseF else Implies(p, q)
+    if typ is Iff:
+        lhs, rhs = normalize(f.lhs), normalize(f.rhs)
         if lhs == rhs:
             return TRUE
-        if isinstance(lhs, TrueF):
-            return rhs
-        if isinstance(rhs, TrueF):
-            return lhs
-        if isinstance(lhs, FalseF):
-            return normalize(Not(rhs))
-        if isinstance(rhs, FalseF):
-            return normalize(Not(lhs))
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if type(side) is TrueF:
+                return other
+            if type(side) is FalseF:
+                return negate(other)
         return Iff(lhs, rhs)
     return f
 
 
-def _normalize_junction(parts, ctor, unit, absorber) -> Formula:
+def negate(g: Formula) -> Formula:
+    """normalize(Not(g)) for a normal g, built without walking g again."""
+    typ = type(g)
+    if typ is TrueF:
+        return FALSE
+    if typ is FalseF:
+        return TRUE
+    if typ is Not:
+        return g.body
+    if typ is And or typ is Or:
+        return junction(Or if typ is And else And, map(negate, g.parts))
+    if typ is Implies:
+        return junction(And, (g.antecedent, negate(g.consequent)))
+    return Not(g)
+
+
+def junction(ctor: type, parts) -> Formula:
+    """normalize(ctor(parts)) for normal parts: flattened, without duplicates
+    or units, and the absorber as soon as one comes."""
+    unit, absorber = (TrueF, FalseF) if ctor is And else (FalseF, TrueF)
     flat: list[Formula] = []
     for p in parts:
-        p = normalize(p)
-        if isinstance(p, unit):
+        typ = type(p)
+        if typ is unit:
             continue
-        if isinstance(p, absorber):
+        if typ is absorber:
             return absorber()
-        if isinstance(p, ctor):
+        if typ is ctor:
             flat.extend(q for q in p.parts if q not in flat)
         elif p not in flat:
             flat.append(p)
-    if not flat:
-        return unit()
-    if len(flat) == 1:
-        return flat[0]
-    return ctor(tuple(flat))
+    return ctor(tuple(flat)) if len(flat) > 1 else flat[0] if flat else unit()

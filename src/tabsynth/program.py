@@ -84,14 +84,18 @@ def interpret(
         measure, less = wf.order(p.decrease)
     if measure is None and calls is None:
         return run(p, args, fuel)
-    fuel_left = itertools.repeat(None, max(fuel, 0) + 1)
+    if fuel < 0:
+        raise ProgramError(f"fuel must be at least 0, not {fuel}")
+    fuel_left = itertools.repeat(None, fuel + 1)
     return _run(p.name, p.compiled[1], fuel_left, measure, less, calls, None, None, *args)
 
 
 def run(p: ProgramDef, args: Sequence[Value], fuel: int = 10000) -> Value:
     """Run p, unchecked, on arguments of its sorts; fails as `interpret` does."""
+    if fuel < 0:
+        raise ProgramError(f"fuel must be at least 0, not {fuel}")
     # one fuel item per call, the top call's included: it is not a self-call
-    return _run(p.name, p.compiled[0], itertools.repeat(None, max(fuel, 0) + 1), *args)
+    return _run(p.name, p.compiled[0], itertools.repeat(None, fuel + 1), *args)
 
 
 def _run(name: str, fn: Callable, *args) -> Value:
@@ -253,37 +257,23 @@ class _Source:
 # simplification
 
 def simplify(body: LTerm) -> LTerm:
-    """Rewrite conditionals to a fixpoint, preserving meaning.
+    """Rewrite conditionals in one bottom-up pass, preserving meaning.
 
-    Rules: same-branch collapse, constant tests, and elimination of a
-    test repeated immediately inside one of its own branches.
+    Under simplified branches, a test repeated immediately inside a branch
+    goes, then equal branches and constant tests collapse: a fixpoint.
     """
-    while True:
-        new = _simplify_once(body)
-        if new == body:
-            return new
-        body = new
-
-
-def _simplify_once(t: LTerm) -> LTerm:
-    if isinstance(t, Apply):
-        return Apply(t.fn, tuple(_simplify_once(a) for a in t.args))
-    if not isinstance(t, Cond):
-        return t
-    test = t.test
-    then = _simplify_once(t.then)
-    els = _simplify_once(t.els)
-    if isinstance(test, L.TrueF):
-        return then
-    if isinstance(test, L.FalseF):
-        return els
-    if then == els:
-        return then
-    if isinstance(then, Cond) and then.test == test:
+    if isinstance(body, Apply):
+        return Apply(body.fn, tuple(simplify(a) for a in body.args))
+    if not isinstance(body, Cond):
+        return body
+    then, els = simplify(body.then), simplify(body.els)
+    if isinstance(then, Cond) and then.test == body.test:
         then = then.then
-    if isinstance(els, Cond) and els.test == test:
+    if isinstance(els, Cond) and els.test == body.test:
         els = els.els
-    return Cond(test, then, els)
+    if isinstance(body.test, L.TrueF) or then == els:
+        return then
+    return els if isinstance(body.test, L.FalseF) else Cond(body.test, then, els)
 
 
 # ---------------------------------------------------------------------------

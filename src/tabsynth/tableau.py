@@ -30,7 +30,6 @@ from .logic import (
     Signature,
     TrueF,
     default_signature,
-    normalize,
 )
 from .wf import RelSpec
 
@@ -219,7 +218,7 @@ class Tableau:
     # -- construction -------------------------------------------------
 
     def _init(self) -> None:
-        cond = normalize(self.spec.condition)
+        cond = L.normalize(self.spec.condition)
         mvs = {mv.name for mv in L.metavars_of(cond)}
         allowed = {self.spec.output.name} if self.spec.output else set()
         if mvs - allowed:
@@ -300,7 +299,7 @@ class Tableau:
             step = ("assume", formula, output)
         else:  # a lemma by name, or a non-strict tableau's own formula
             step = ("assert", name) if name else ("assert", None, formula, output)
-        return self._append(ASSERTION, normalize(formula), output, step)
+        return self._append(ASSERTION, L.normalize(formula), output, step)
 
     def assume(self, formula: Formula, output: LTerm | None = None) -> Row:
         """Enter a case assumption, as a script's assume line does."""
@@ -309,8 +308,7 @@ class Tableau:
     def dualize(self, rid: int) -> Row:
         row = self.row(rid)
         kind = GOAL if row.kind == ASSERTION else ASSERTION
-        formula = normalize(Not(row.formula))
-        return self._append(kind, formula, row.output, ("dualize", rid))
+        return self._append(kind, L.negate(row.formula), row.output, ("dualize", rid))
 
     def drop_orphan_output(self, rid: int) -> Row:
         row = self.row(rid)
@@ -437,7 +435,7 @@ class Tableau:
             self.sig.predicates["wf-ordered"] = ("rel", sort, sort)
         self.decrease = self.relations[relname]
         return self._append(
-            ASSERTION, normalize(Implies(wf, cond)), None, ("induct", relname)
+            ASSERTION, L.normalize(Implies(wf, cond)), None, ("induct", relname)
         )
 
     def _measure_tuple(self, items: list) -> LTerm:
@@ -481,14 +479,14 @@ class Tableau:
         first for resolve, row 2's for a replacement."""
         g1 = part1 if row1.kind == GOAL else Not(part1)
         g2 = part2 if row2.kind == GOAL else Not(part2)
-        combined = normalize(And((g1, g2)))
+        combined = L.normalize(And((g1, g2)))
         out1 = row1.output and L.apply_subst(row1.output, theta)
         outs = (out1, row2.output and sub2(row2.output))
         then, els = outs if step[0] == "resolve" else outs[::-1]
         output = _mk_cond(L.apply_subst(occ1, theta), then, els)
         theta = tuple(sorted(theta.items()))
         if row1.kind == ASSERTION and row2.kind == ASSERTION:
-            return self._append(ASSERTION, normalize(Not(combined)), output, step, theta)
+            return self._append(ASSERTION, L.negate(combined), output, step, theta)
         return self._append(GOAL, combined, output, step, theta)
 
 
@@ -503,7 +501,7 @@ def _distribute(f: Formula, outer: type, inner: type) -> Formula:
         if target is None:
             break
         rest = tuple(p for p in f.parts if p is not target)
-        f = normalize(inner(tuple(outer(rest + (c,)) for c in target.parts)))
+        f = L.junction(inner, [L.junction(outer, rest + (c,)) for c in target.parts])
     return f
 
 

@@ -3,9 +3,11 @@
 Each one decides a property by a different route than the code under
 test: the derived unification algorithm transcribed by hand, refuting
 most-general idempotence with sampled unifiers, probing a relation for
-strictness on sampled pairs, weak generality by matching, and an
+strictness on sampled pairs, weak generality by matching, an
 expression's variables, size and subexpressions by recursion instead of
-the attributes each node keeps.
+the attributes each node keeps, and the normal form of a formula and the
+simplified form of a program body by the earlier algorithms that re-walk
+what they build.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from tabsynth import logic as L
 from tabsynth.subst import (
     BOT,
     Proper,
@@ -164,3 +167,105 @@ def recursive_occurs(d: Expr, e: Expr, mode: str = "proper") -> bool:
     return recursive_occurs(d, e.left, "reflexive") or recursive_occurs(
         d, e.right, "reflexive"
     )
+
+
+def reference_normalize(f: L.Formula) -> L.Formula:
+    """logic.normalize as it was before negate and junction: a negated
+    junction is rebuilt from negations and normalized again."""
+    if isinstance(f, (L.TrueF, L.FalseF, L.Atom, L.Eq)):
+        return f
+    if isinstance(f, L.Not):
+        body = reference_normalize(f.body)
+        if isinstance(body, L.TrueF):
+            return L.FALSE
+        if isinstance(body, L.FalseF):
+            return L.TRUE
+        if isinstance(body, L.Not):
+            return body.body
+        if isinstance(body, L.And):
+            return reference_normalize(L.Or(tuple(L.Not(p) for p in body.parts)))
+        if isinstance(body, L.Or):
+            return reference_normalize(L.And(tuple(L.Not(p) for p in body.parts)))
+        if isinstance(body, L.Implies):
+            return reference_normalize(L.And((body.antecedent, L.Not(body.consequent))))
+        return L.Not(body)
+    if isinstance(f, L.And):
+        return _reference_junction(f.parts, L.And, L.TrueF, L.FalseF)
+    if isinstance(f, L.Or):
+        return _reference_junction(f.parts, L.Or, L.FalseF, L.TrueF)
+    if isinstance(f, L.Implies):
+        p = reference_normalize(f.antecedent)
+        q = reference_normalize(f.consequent)
+        if isinstance(p, L.TrueF):
+            return q
+        if isinstance(p, L.FalseF) or isinstance(q, L.TrueF):
+            return L.TRUE
+        if isinstance(q, L.FalseF):
+            return reference_normalize(L.Not(p))
+        return L.Implies(p, q)
+    if isinstance(f, L.Iff):
+        lhs = reference_normalize(f.lhs)
+        rhs = reference_normalize(f.rhs)
+        if lhs == rhs:
+            return L.TRUE
+        if isinstance(lhs, L.TrueF):
+            return rhs
+        if isinstance(rhs, L.TrueF):
+            return lhs
+        if isinstance(lhs, L.FalseF):
+            return reference_normalize(L.Not(rhs))
+        if isinstance(rhs, L.FalseF):
+            return reference_normalize(L.Not(lhs))
+        return L.Iff(lhs, rhs)
+    return f
+
+
+def _reference_junction(parts, ctor, unit, absorber) -> L.Formula:
+    flat: list[L.Formula] = []
+    for p in parts:
+        p = reference_normalize(p)
+        if isinstance(p, unit):
+            continue
+        if isinstance(p, absorber):
+            return absorber()
+        if isinstance(p, ctor):
+            flat.extend(q for q in p.parts if q not in flat)
+        elif p not in flat:
+            flat.append(p)
+    if not flat:
+        return unit()
+    if len(flat) == 1:
+        return flat[0]
+    return ctor(tuple(flat))
+
+
+def reference_simplify(body: L.LTerm) -> L.LTerm:
+    """program.simplify as a fixpoint of one rewriting pass, the pass
+    collapsing constant tests and equal branches before it removes a
+    repeated test."""
+    while True:
+        new = _reference_simplify_once(body)
+        if new == body:
+            return new
+        body = new
+
+
+def _reference_simplify_once(t: L.LTerm) -> L.LTerm:
+    if isinstance(t, L.Apply):
+        return L.Apply(t.fn, tuple(_reference_simplify_once(a) for a in t.args))
+    if not isinstance(t, L.Cond):
+        return t
+    test = t.test
+    then = _reference_simplify_once(t.then)
+    els = _reference_simplify_once(t.els)
+    if isinstance(test, L.TrueF):
+        return then
+    if isinstance(test, L.FalseF):
+        return els
+    if then == els:
+        return then
+    if isinstance(then, L.Cond) and then.test == test:
+        then = then.then
+    if isinstance(els, L.Cond) and els.test == test:
+        els = els.els
+    return L.Cond(test, then, els)

@@ -476,6 +476,8 @@ _DEEP_INPUTS = {
         ["run", "p.sexp", "(a . b)"],
     ),
     "check-mgiu-env": ({}, ["check-mgiu", "--env", "{Z -> a}", _DEEP_Z, "X", "{}"]),
+    # the oracle applies its solution {Z -> a} to Y's deep image
+    "check-mgiu-oracle": ({}, ["check-mgiu", f"(Z . {_DEEP_Z})", "(a . Y)", "{}"]),
 }
 
 
@@ -506,6 +508,40 @@ def test_search_takes_only_positive_integer_weights(capsys, tmp_path, weights, m
     assert main(["search", "--weights", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
+_TRIPLE = ("{}", "(X . b)", "(a . Y)")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--max-rows", "-5"], "max_rows must be at least 0, not -5"),
+        (["unify", "--fuel", "-3", "X", "a"], "fuel must be at least 0, not -3"),
+        (["run", "builtin:unify_program.golden", *_TRIPLE, "--fuel", "-1"],
+         "fuel must be at least 0, not -1"),
+        (["run", "builtin:unify_program.golden", *_TRIPLE, "--fuel", "-1",
+          "--check-decrease"], "fuel must be at least 0, not -1"),
+    ],
+    ids=["search", "unify", "run", "run-checked"],
+)
+def test_a_negative_budget_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_a_zero_budget_runs(capsys):
+    # no rows: no derivation; no fuel: the top call only, which needs no self-call
+    assert run_cli(capsys, "search", "--max-rows", "0") == (
+        1, "no derivation found within the row limit\n"
+    )
+    assert run_cli(capsys, "unify", "--fuel", "0", "X", "a") == (0, "{X -> a}\n")
+    golden = "builtin:unify_program.golden"
+    for flags in ((), ("--check-decrease",)):
+        assert run_cli(capsys, "run", golden, "{}", "X", "a", "--fuel", "0", *flags) == (
+            0, "{X -> a}\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from tabsynth.logic import (
 )
 
 from ground import ground_signature
+from oracles import reference_normalize
 
 
 def sig_with_params():
@@ -258,11 +259,20 @@ def prop_truth(f, assignment):
 
 
 def test_normalize_preserves_truth():
+    """normalize keeps a formula's truth, builds the normal form the
+    re-walking reference builds, and leaves a normal formula as it is;
+    negate and junction on normal formulas build what normalize would."""
     rng = random.Random(99)
     names = [p.pred for p in PROPS]
-    for _ in range(300):
-        f = random_prop(rng)
+    for _ in range(2000):
+        f = random_prop(rng, rng.randint(1, 5))
         g = normalize(f)
+        assert g == reference_normalize(f)
+        assert normalize(g) == g
+        assert L.negate(g) == reference_normalize(Not(g))
+        parts = (g, *(normalize(random_prop(rng)) for _ in range(rng.randint(0, 3))))
+        for ctor in (And, Or):
+            assert L.junction(ctor, parts) == reference_normalize(ctor(parts))
         for bits in itertools.product([False, True], repeat=4):
             assignment = dict(zip(names, bits))
             assert prop_truth(f, assignment) == prop_truth(g, assignment)

@@ -24,7 +24,7 @@ from tabsynth.term import parse_expr, size_of
 from tabsynth.wf import U_REL, Base, u_measure
 
 from genlib import rand_expr, rand_idempotent_env
-from oracles import transcribed_unify
+from oracles import reference_simplify, transcribed_unify
 
 import pathlib
 
@@ -278,6 +278,34 @@ def test_simplify_rules():
     assert simplify(Cond(L.FALSE, a, b)) == b
     assert simplify(Cond(p, Cond(p, a, b), c)) == Cond(p, a, c)
     assert simplify(Cond(p, a, Cond(p, b, c))) == Cond(p, a, c)
+    # equal branches whose tests repeat the parent's: either rule may go first
+    assert simplify(Cond(p, Cond(p, a, b), Cond(p, a, b))) == Cond(p, a, b)
+
+
+def random_conditional(rng, tests, depth=4):
+    if depth == 0 or rng.random() < 0.3:
+        return Apply(rng.choice(["th0", "bot", "empty-subst"]))
+    if rng.random() < 0.3:
+        args = (random_conditional(rng, tests, depth - 1) for _ in range(2))
+        return Apply("compose", tuple(args))
+    then, els = (random_conditional(rng, tests, depth - 1) for _ in range(2))
+    return Cond(rng.choice(tests), then, els)
+
+
+def test_simplify_is_the_fixpoint_of_its_rules():
+    """One pass of simplify builds what rewriting to a fixpoint builds.
+    Tests come from {p, q, true, false}, so repeated tests and equal
+    branches are common."""
+    sig = L.default_signature()
+    sig.add_constant("th0", "subst")
+    tests = [L.parse_formula(t, sig) for t in ("(is-proper th0)", "(idem th0)")]
+    tests += [L.TRUE, L.FALSE]
+    rng = random.Random(17)
+    for _ in range(3000):
+        t = random_conditional(rng, tests, rng.randint(1, 6))
+        slim = simplify(t)
+        assert slim == reference_simplify(t)
+        assert simplify(slim) == slim
 
 
 def test_simplify_preserves_meaning(prog):
