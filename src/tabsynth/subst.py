@@ -7,7 +7,7 @@ which maps every expression to the black hole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .term import (
@@ -44,27 +44,27 @@ class Failure:
 BOT = Failure()
 
 
-@dataclass(frozen=True, slots=True)
 class Proper:
-    """A proper substitution: sorted, identity-free binding pairs.
+    """A proper substitution: its identity-free binding map, with the map's
+    domain and range (the variables of its images) set at construction.
+    Equality compares maps; the bindings are sorted only when read."""
 
-    The binding map, its domain and its range (the variables of its
-    images) are kept from construction; they take no part in equality,
-    hashing or printing.
-    """
+    __slots__ = ("map", "domain", "range")
 
-    bindings: tuple[tuple[str, Expr], ...] = field(default=())
-    map: dict[str, Expr] = field(init=False, compare=False, repr=False)
-    domain: frozenset[str] = field(init=False, compare=False, repr=False)
-    range: frozenset[str] = field(init=False, compare=False, repr=False)
+    def __init__(self, image: dict[str, Expr]):
+        self.map = image
+        self.domain = shared_varset(frozenset(image)) if image else _NO_NAMES
+        self.range = _union(e.vars for e in image.values())
 
-    def __post_init__(self):
-        image = dict(self.bindings)
-        object.__setattr__(self, "map", image)
-        object.__setattr__(
-            self, "domain", shared_varset(frozenset(image)) if image else _NO_NAMES
-        )
-        object.__setattr__(self, "range", _union(e.vars for e in image.values()))
+    @property
+    def bindings(self) -> tuple[tuple[str, Expr], ...]:
+        return tuple(sorted(self.map.items()))  # names differ: no image compared
+
+    def __eq__(self, other):
+        return type(other) is Proper and self.map == other.map
+
+    def __hash__(self) -> int:
+        return hash(self.bindings)
 
     def __repr__(self) -> str:
         return print_subst(self)
@@ -89,8 +89,7 @@ def make_subst(pairs: Iterable[tuple[str, Expr]]) -> Proper:
         if name in seen:
             raise DuplicateVariableError(f"variable {name} bound twice")
         seen[name] = image
-    kept = {n: e for n, e in seen.items() if not (isinstance(e, Var) and e.name == n)}
-    return Proper(tuple(sorted(kept.items(), key=lambda kv: kv[0])))
+    return Proper({n: e for n, e in seen.items() if not (isinstance(e, Var) and e.name == n)})
 
 
 EMPTY = make_subst([])
@@ -129,16 +128,23 @@ def compose(s1: Subst, s2: Subst) -> Subst:
     """Sequential composition: apply(e, compose(s1, s2)) = apply(apply(e, s1), s2)."""
     if isinstance(s1, Failure) or isinstance(s2, Failure):
         return BOT
-    pairs = {x: apply(img, s2) for x, img in s1.bindings}
-    for y, img in s2.bindings:
-        if y not in pairs:
-            pairs[y] = img
-    return make_subst(pairs.items())
+    if not (s1.map and s2.map):
+        return s1 if s1.map else s2
+    image, dom = s2.map, s2.domain
+    out = dict(image)  # the bindings of s1 replace or drop those they share
+    for x, e in s1.map.items():
+        if not e.vars.isdisjoint(dom):
+            e = _replace_vars(e, image, dom)
+            if type(e) is Var and e.name == x:
+                out.pop(x, None)
+                continue
+        out[x] = e
+    return Proper(out)
 
 
 def replacement(x: str, e: Expr) -> Proper:
     """The single-variable substitution {x -> e}; {x -> x} is empty."""
-    return make_subst([(x, e)])
+    return EMPTY if type(e) is Var and e.name == x else Proper({x: e})
 
 
 def dom_of(s: Subst) -> frozenset[str]:
@@ -168,12 +174,21 @@ def is_idempotent(s: Subst) -> bool:
     """True iff s composed with itself equals s."""
     if isinstance(s, Failure):
         return True
-    return not (dom_of(s) & range_of(s))
+    return s.domain.isdisjoint(s.range)
 
 
 def more_general(s1: Subst, s2: Subst) -> bool:
-    """Strong generality: compose(s1, s2) = s2 (s2 extends s1)."""
-    return compose(s1, s2) == s2
+    """Strong generality, compose(s1, s2) = s2, decided binding by binding."""
+    if isinstance(s1, Failure) or isinstance(s2, Failure):
+        return isinstance(s2, Failure)
+    image, dom = s2.map, s2.domain
+    for x, e in s1.map.items():
+        if not e.vars.isdisjoint(dom):
+            e = _replace_vars(e, image, dom)
+        want = image.get(x)
+        if not (e == want if want is not None else type(e) is Var and e.name == x):
+            return False
+    return True
 
 
 def print_subst(s: Subst) -> str:

@@ -5,9 +5,9 @@ test: the derived unification algorithm transcribed by hand, refuting
 most-general idempotence with sampled unifiers, probing a relation for
 strictness on sampled pairs, weak generality by matching, an
 expression's variables, size and subexpressions by recursion instead of
-the attributes each node keeps, and the normal form of a formula and the
-simplified form of a program body by the earlier algorithms that re-walk
-what they build.
+the attributes each node keeps, composition by rebuilding the whole
+binding map, and the normal form of a formula and the simplified form of
+a program body by the earlier algorithms that re-walk what they build.
 """
 
 from __future__ import annotations
@@ -119,6 +119,18 @@ def _match(pattern: Expr, target: Expr, out: dict[str, Expr]) -> bool:
     return _match(pattern.left, target.left, out) and _match(
         pattern.right, target.right, out
     )
+
+
+def reference_compose(s1: Subst, s2: Subst) -> Subst:
+    """Composition as first written: s2 applied to every binding of s1, the
+    bindings of s2 added, and the result rebuilt through make_subst."""
+    if not (is_proper(s1) and is_proper(s2)):
+        return BOT
+    pairs = {x: apply(img, s2) for x, img in s1.bindings}
+    for y, img in s2.bindings:
+        if y not in pairs:
+            pairs[y] = img
+    return make_subst(pairs.items())
 
 
 def weakly_more_general(s1: Proper, s2: Proper) -> Optional[Proper]:

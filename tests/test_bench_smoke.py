@@ -1,0 +1,30 @@
+"""The benchmark's workloads still run on the package: a change under src/
+that breaks what bench/ imports or calls fails here, not first in a
+benchmark run.
+
+For each workload BENCHMARK.json lists, the first three ops of seed 0 are
+run; `check` must accept each real output and reject its `corrupt` form.
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+LISTED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_listed_workload_runs_and_checks(name):
+    wl = workloads.WORKLOADS[name]
+    ctx = wl.setup()
+    for inp in wl.inputs(ctx, 0)[:3]:
+        out = wl.run(ctx, inp)
+        assert wl.check(ctx, inp, out)
+        assert not wl.check(ctx, inp, wl.corrupt(ctx, inp, out))

@@ -155,7 +155,7 @@ def test_reference_unify_makes_a_fixed_number_of_calls():
             unify.reference_unify(*args)
     finally:
         sys.setprofile(None)
-    assert count == 6886
+    assert count == 5751
 
 
 def test_parse_and_extract_agree_on_primitiveness():

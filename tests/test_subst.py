@@ -33,7 +33,7 @@ from tabsynth.term import (
 )
 
 from genlib import rand_expr, rand_subst, spaced_subst_text
-from oracles import weakly_more_general
+from oracles import reference_compose, weakly_more_general
 
 rngs = st.integers(0, 10**9).map(random.Random)
 
@@ -56,6 +56,9 @@ def test_apply():
 def test_compose_worked_example():
     got = compose(parse_subst("{X -> (Y . a)}"), parse_subst("{X -> b, Y -> c}"))
     assert got == parse_subst("{X -> (c . a), Y -> c}")
+    # a binding that becomes the identity is dropped
+    swapped = compose(parse_subst("{X -> Y}"), parse_subst("{Y -> X}"))
+    assert swapped == parse_subst("{Y -> X}") and dom_of(swapped) == {"Y"}
 
 
 def test_compose_identity_and_annihilator():
@@ -121,6 +124,10 @@ def test_weakly_more_general():
 def test_subst_equal():
     # substitutions are canonical: equal effect on every variable is ==
     assert parse_subst("{X -> a, Y -> b}") == parse_subst("{Y -> b, X -> a}")
+    a, b = Const("a"), Const("b")
+    yx, xy = make_subst([("Y", b), ("X", a)]), make_subst([("X", a), ("Y", b)])
+    assert yx == xy and hash(yx) == hash(xy)
+    assert print_subst(yx) == "{X -> a, Y -> b}" and yx.bindings == xy.bindings
     assert make_subst([("X", Var("X"))]) == EMPTY
     assert parse_subst("{X -> a}") != BOT
 
@@ -167,6 +174,27 @@ def test_composition_law(rng):
     s1 = BOT if rng.random() < 0.15 else rand_subst(rng)
     s2 = BOT if rng.random() < 0.15 else rand_subst(rng)
     assert apply(e, compose(s1, s2)) == apply(apply(e, s1), s2)
+
+
+def _any_subst(rng):
+    # depth 0 binds atoms only, often variables, so that compositions drop identities
+    r = rng.random()
+    return BOT if r < 0.1 else EMPTY if r < 0.2 else rand_subst(rng, rng.choice((0, 2)))
+
+
+@given(rngs)
+def test_compose_agrees_with_the_reference(rng):
+    s1, s2 = _any_subst(rng), _any_subst(rng)
+    got, want = compose(s1, s2), reference_compose(s1, s2)
+    assert got == want and print_subst(got) == print_subst(want)
+
+
+@given(rngs)
+def test_more_general_agrees_with_the_reference(rng):
+    # half the pairs extend s1, so that a true answer is common
+    s1 = _any_subst(rng)
+    s2 = reference_compose(s1, _any_subst(rng)) if rng.random() < 0.5 else _any_subst(rng)
+    assert more_general(s1, s2) == (reference_compose(s1, s2) == s2)
 
 
 @given(rngs)
