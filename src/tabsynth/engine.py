@@ -354,16 +354,12 @@ def _rewriting_sides(row: Row) -> tuple:
 
 
 class _KeptRows:
-    """What the search reuses about its kept rows, keyed by rid, and an index
-    of the active rows' atom occurrences and rewriting sides.
-
-    Only rows already in the passive queue or the active list are entered.
-    Tableau.truncate gives a dropped row's rid to the next row made, so an
-    entry for a row of the batch being tried could later describe another."""
+    """The atom occurrences of the search's kept rows, by rid, and an index of
+    the active rows' occurrences and rewriting sides.  Only rows in the
+    passive queue or the active list are entered, and truncate drops none."""
 
     def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
-        self._live: dict[tuple[int, str, L.Formula], bool] = {}
         # head -> shape -> (active position, occurrence position, path text)
         # or (active position, direction)
         self.index: dict[tuple, dict[tuple, list]] = {}
@@ -394,13 +390,9 @@ class _KeptRows:
 
     def live(self, row: Row, path: str, constant: L.Formula) -> bool:
         """Whether row, with constant put at path, can be a side of a useful move:
-        not if that normalizes to false in a goal or true in an assertion, as a
+        not if its residue is false in a goal or true in an assertion, as a
         meta-substitution only adds equal sides and never removes a constant."""
-        key = (row.rid, path, constant)
-        if key not in self._live:
-            f = L.normalize(L.replace_at(row.formula, L.parse_path(path), constant))
-            self._live[key] = not _vacuous(row.kind, f)
-        return self._live[key]
+        return not _vacuous(row.kind, row.residue(path, constant))
 
 
 def _meeting(index: dict, atom: L.Node, shape: tuple):

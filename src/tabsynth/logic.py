@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Union
 
 from . import subst as _subst
@@ -155,22 +156,22 @@ def default_signature() -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# terms and formulas
+# terms and formulas: immutable by convention, slotted rather than frozen to build fast
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MetaVar:
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Apply:
     fn: str
     args: tuple["LTerm", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cond:
     test: "Formula"
     then: "LTerm"
@@ -180,50 +181,50 @@ class Cond:
 LTerm = Union[MetaVar, Apply, Cond]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
     pred: str
     args: tuple[LTerm, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Implies:
     antecedent: "Formula"
     consequent: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Iff:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq:
     lhs: LTerm
     rhs: LTerm
@@ -649,27 +650,29 @@ def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, leaf: Callable[[Formula], Formula] | None = None) -> Formula:
     """Propositional simplification with negations pushed inward.
 
     Flattens and deduplicates and/or, removes true/false units, applies
     double negation, and simplifies implications and equivalences with
-    constant sides.  Implies and Iff are not expanded.
+    constant sides.  Implies and Iff are not expanded.  Given leaf, each
+    atom or equation a is read as leaf(a): normalize(f, θ-leaf) is
+    normalize(θ(f)) for a meta-substitution θ, in one walk.
     """
     typ = type(f)
     if typ is Not:
-        return negate(normalize(f.body))
+        return negate(normalize(f.body, leaf))
     if typ is And or typ is Or:
-        return junction(typ, map(normalize, f.parts))
+        return junction(typ, map(normalize, f.parts, repeat(leaf)))
     if typ is Implies:
-        p, q = normalize(f.antecedent), normalize(f.consequent)
+        p, q = normalize(f.antecedent, leaf), normalize(f.consequent, leaf)
         if type(p) is TrueF:
             return q
         if type(p) is FalseF or type(q) is TrueF:
             return TRUE
         return negate(p) if type(q) is FalseF else Implies(p, q)
     if typ is Iff:
-        lhs, rhs = normalize(f.lhs), normalize(f.rhs)
+        lhs, rhs = normalize(f.lhs, leaf), normalize(f.rhs, leaf)
         if lhs == rhs:
             return TRUE
         for side, other in ((lhs, rhs), (rhs, lhs)):
@@ -678,6 +681,8 @@ def normalize(f: Formula) -> Formula:
             if type(side) is FalseF:
                 return negate(other)
         return Iff(lhs, rhs)
+    if leaf is not None and (typ is Atom or typ is Eq):
+        return leaf(f)
     return f
 
 

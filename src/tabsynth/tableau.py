@@ -8,8 +8,8 @@ synthesized program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from . import logic as L
 from .logic import (
@@ -119,6 +119,7 @@ class Row:
     output: LTerm | None
     step: tuple  # the step that made the row, as engine.apply_step takes it
     theta: tuple | None = None  # the unifier the step applied, as sorted pairs
+    _residues: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def unifier(self) -> str:
@@ -133,6 +134,14 @@ class Row:
         if self.output is not None:
             names |= {mv.name for mv in L.metavars_of(self.output)}
         return frozenset(names)
+
+    def residue(self, path: str, constant: Formula) -> Formula:
+        """The formula with constant (true or false) at path, normalized, built once."""
+        key = (path, type(constant))  # TRUE and FALSE hash alike
+        if key not in self._residues:
+            f = L.replace_at(self.formula, L.parse_path(path), constant)
+            self._residues[key] = L.normalize(f)
+        return self._residues[key]
 
     def justification(self) -> str:
         """The step as text: command, (rows@paths), unifier, then other strings."""
@@ -178,16 +187,6 @@ class ProgramDef:
         from .program import compile
 
         return compile(self)
-
-
-def _mk_cond(test: Formula, then: LTerm | None, els: LTerm | None) -> LTerm | None:
-    """The conditional on test of then and els, simplified; a missing branch
-    leaves the other."""
-    if then is None or els is None:
-        return els if then is None else then
-    if then == els or isinstance(test, TrueF):
-        return then
-    return els if isinstance(test, FalseF) else Cond(test, then, els)
 
 
 class Tableau:
@@ -359,8 +358,8 @@ class Tableau:
                 f"{L.print_formula(occ1)} does not unify with {L.print_formula(occ2)}"
             )
         sub2 = _renamed_then(fresh, theta)
-        part1 = L.apply_subst(L.replace_at(row1.formula, p1, L.TRUE), theta)
-        part2 = sub2(L.replace_at(row2.formula, p2, L.FALSE))
+        part1 = L.normalize(row1.residue(path1, L.TRUE), partial(L.apply_subst, sub=theta))
+        part2 = L.normalize(row2.residue(path2, L.FALSE), sub2)
         step = ("resolve", rid1, path1, rid2, path2)
         return self._emit(step, theta, sub2, row1, part1, row2, part2, occ1)
 
@@ -398,9 +397,9 @@ class Tableau:
         if theta is None:
             raise NotUnifiableError("selected occurrence does not unify with the side")
         sub2 = _renamed_then(fresh, theta)
-        part1 = L.apply_subst(L.replace_at(row1.formula, p1, L.FALSE), theta)
+        part1 = L.normalize(row1.residue(path1, L.FALSE), partial(L.apply_subst, sub=theta))
         # substituting commutes with replacing: dst, from row 1, takes only theta
-        part2 = L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta))
+        part2 = L.normalize(L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta)))
         rule = "eqrepl" if node_type is Eq else "iffrepl"
         step = (rule, rid1, path1, rid2, path2, direction)
         return self._emit(step, theta, sub2, row1, part1, row2, part2, eqnode)
@@ -474,16 +473,20 @@ class Tableau:
 
     def _emit(self, step, theta, sub2, row1, part1, row2, part2, occ1) -> Row:
         """The row a pair rule makes of part1 of row 1 and part2 of row 2, both
-        under theta, each negated in an assertion.  The parents' outputs, under
-        theta (sub2 for row 2), join in a conditional on theta(occ1): row 1's
-        first for resolve, row 2's for a replacement."""
-        g1 = part1 if row1.kind == GOAL else Not(part1)
-        g2 = part2 if row2.kind == GOAL else Not(part2)
-        combined = L.normalize(And((g1, g2)))
+        normal and under theta, each negated in an assertion.  The parents'
+        outputs, under theta (sub2 for row 2), join in a simplified conditional
+        on theta(occ1): row 1's first for resolve, row 2's for a replacement."""
+        g1 = part1 if row1.kind == GOAL else L.negate(part1)
+        g2 = part2 if row2.kind == GOAL else L.negate(part2)
+        combined = L.junction(And, (g1, g2))
         out1 = row1.output and L.apply_subst(row1.output, theta)
         outs = (out1, row2.output and sub2(row2.output))
         then, els = outs if step[0] == "resolve" else outs[::-1]
-        output = _mk_cond(L.apply_subst(occ1, theta), then, els)
+        output = els if then is None else then  # a missing output leaves the other
+        if then is not None and els is not None and then != els:
+            test = L.apply_subst(occ1, theta)
+            if not isinstance(test, TrueF):
+                output = els if isinstance(test, FalseF) else Cond(test, then, els)
         theta = tuple(sorted(theta.items()))
         if row1.kind == ASSERTION and row2.kind == ASSERTION:
             return self._append(ASSERTION, L.negate(combined), output, step, theta)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import pathlib
+import sys
 import types
 
 import pytest
@@ -12,6 +13,8 @@ from tabsynth import program as P
 from tabsynth.logic import MetaVar
 from tabsynth.tableau import ASSERTION, GOAL, NotUnifiableError, Row, Tableau
 from tabsynth.wf import Base
+
+from test_tableau import _old_construction
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
 
@@ -286,6 +289,8 @@ def test_malformed_script_command_is_named(unify_theory):
 # (_row_key, rule, parents, paths) of every row of the 300-row
 # full-theory search, as the search made them before it skipped any move
 FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
+# the pair moves of the unify-same and the 300-row full-theory search that make a row
+COMPARED_SAME, COMPARED_300 = 36, 710
 
 
 # the search's predicate, shape and live tests before it indexed occurrences,
@@ -355,14 +360,16 @@ def _may_try(move, rows, live) -> bool:
     return True
 
 
-def _watch(monkeypatch, thy, spec, rows) -> types.SimpleNamespace:
+def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace:
     """Run a search; return its result, its tableau, the steps it applied,
     the rows it activated, the moves it skipped, the number of calls of
     each pair rule, the occurrence pairs the index meets and the shape
     comparisons it makes.  Check that each activation yields exactly the
-    reference moves the old shape and live tests let it try, in their order."""
+    reference moves the old shape and live tests let it try, in their order.
+    Given compare, check each pair move against _old_construction and
+    count the rows compared."""
     theory = engine.load_theory((DATA / thy).read_text())
-    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[])
+    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[], compared=0)
     watched.calls = {"resolve": 0, "equivalence_replace": 0}
     watched.pairs = watched.comparisons = 0
     make, apply, moves_for = engine.make_tableau, engine.apply_step, engine.moves_for
@@ -375,7 +382,18 @@ def _watch(monkeypatch, thy, spec, rows) -> types.SimpleNamespace:
 
     def apply_and_note(tableau, step):
         watched.steps.append(step)
-        return apply(tableau, step)
+        if not compare or step[0] not in ("resolve", "iffrepl"):
+            return apply(tableau, step)
+        want = _old_construction(tableau, *step)
+        try:
+            made = apply(tableau, step)
+        except NotUnifiableError:
+            assert want is None, step
+            raise
+        (row,) = made
+        assert (row.kind, row.formula, row.output, row.unifier, tableau._fresh) == want, step
+        watched.compared += 1
+        return made
 
     def moves_and_skipped(row, active, kept):
         watched.activated.append(row)
@@ -494,6 +512,60 @@ def test_search_pair_rule_calls(monkeypatch):
     assert calls["equivalence_replace"] <= 100
     result, tableau, _, _ = _search_watched(monkeypatch, "unify_same.thy", "unify-same", 200)
     assert result is not None and len(tableau.rows) == 31
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows, compared",
+    [
+        ("unify_same.thy", "unify-same", 200, COMPARED_SAME),
+        ("unify.thy", "unify", 300, COMPARED_300),
+    ],
+)
+def test_every_pair_move_builds_the_row_the_old_construction_builds(
+    monkeypatch, thy, spec, rows, compared
+):
+    # each resolvent is now built from its parents' normalized residues;
+    # kind, formula, output, unifier text and counter match renaming row 2
+    # whole and normalizing the conjunction of the substituted parts
+    assert _watch(monkeypatch, thy, spec, rows, compare=True).compared == compared
+
+
+def test_a_reused_rid_gets_its_own_live_and_residue_answers(unify_theory):
+    # truncate gives a dropped row's rid to the next row made; what the
+    # search reads about a row is kept on the row, not under its rid
+    tableau, kept = engine.make_tableau(unify_theory, "unify"), engine._KeptRows()
+    sig = tableau.sig
+    dropped = tableau.assume(L.parse_formula("(or (idem th0) (is-proper th0))", sig))
+    assert dropped.residue("1", L.TRUE) == L.TRUE
+    assert not kept.live(dropped, "1", L.TRUE)
+    tableau.truncate(dropped.rid - 1)
+    row = tableau.assume(L.parse_formula("(and (idem th0) (is-proper th0))", sig))
+    assert row.rid == dropped.rid
+    assert row.residue("1", L.TRUE) == L.parse_formula("(is-proper th0)", sig)
+    assert kept.live(row, "1", L.TRUE)
+
+
+def test_full_theory_search_makes_a_fixed_number_of_calls(unify_theory):
+    # Python-level calls of the package, counted as
+    # test_reference_unify_makes_a_fixed_number_of_calls counts them, during
+    # a 250-row search; 137,078 to 137,116, by the string hash seed, when
+    # each resolvent was substituted whole and its conjunction normalized
+    package = str(pathlib.Path(engine.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            path = frame.f_code.co_filename
+            count += path == "<string>" or path.startswith(package)
+
+    sys.setprofile(profile)
+    try:
+        result = engine.search(unify_theory, "unify", engine.SearchConfig(max_rows=250))
+    finally:
+        sys.setprofile(None)
+    assert result is None
+    assert count == 106_661
 
 
 # -- what the search does -----------------------------------------------------

@@ -221,20 +221,21 @@ def test_normalize_examples():
 PROPS = [Atom(f"p{i}") for i in range(4)]
 
 
-def random_prop(rng, depth=3):
+def random_prop(rng, depth=3, atoms=PROPS):
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(PROPS)
+        return rng.choice(atoms)
     kind = rng.randrange(6)
+    sub = lambda: random_prop(rng, depth - 1, atoms)  # noqa: E731
     if kind == 0:
-        return Not(random_prop(rng, depth - 1))
+        return Not(sub())
     if kind == 1:
-        return And(tuple(random_prop(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+        return And(tuple(sub() for _ in range(rng.randint(2, 3))))
     if kind == 2:
-        return Or(tuple(random_prop(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+        return Or(tuple(sub() for _ in range(rng.randint(2, 3))))
     if kind == 3:
-        return Implies(random_prop(rng, depth - 1), random_prop(rng, depth - 1))
+        return Implies(sub(), sub())
     if kind == 4:
-        return Iff(random_prop(rng, depth - 1), random_prop(rng, depth - 1))
+        return Iff(sub(), sub())
     return rng.choice([TrueF(), L.FalseF()])
 
 
@@ -276,6 +277,44 @@ def test_normalize_preserves_truth():
         for bits in itertools.product([False, True], repeat=4):
             assignment = dict(zip(names, bits))
             assert prop_truth(f, assignment) == prop_truth(g, assignment)
+
+
+_A, _B = MetaVar("A", "expr"), MetaVar("B", "expr")
+_E1 = Apply("e1")
+# atoms and an equation over metavars, which a meta-substitution may make equal
+META_ATOMS = [Atom("is-var", (t,)) for t in (_A, _B, _E1)] + [Eq(_A, _B)]
+IMAGES = [_A, _B, _E1, Apply("cons", (_A, _E1))]
+
+
+def _merges(g) -> set:
+    """Which merges g shows: a junction with equal parts, an iff with equal sides."""
+    found = set()
+    for n in L.nodes(g):
+        if type(n) in (And, Or) and len(set(n.parts)) < len(n.parts):
+            found.add("junction")
+        elif type(n) is Iff and n.lhs == n.rhs:
+            found.add("iff")
+    return found
+
+
+def test_normalize_with_a_leaf_is_normalize_after_substituting():
+    """normalize(f, θ-leaf) is normalize(θ(f)), whether or not f is normal
+    first; a fixed share of draws has θ merge atoms, so equal parts and
+    equal iff sides are met."""
+    rng = random.Random(19)
+    draws, merged = 2000, {"junction": 0, "iff": 0}
+    for _ in range(draws):
+        f = random_prop(rng, rng.randint(1, 5), META_ATOMS)
+        theta = {name: rng.choice(IMAGES) for name in "AB" if rng.random() < 0.8}
+        leaf = lambda a: apply_subst(a, theta)  # noqa: E731
+        want = reference_normalize(apply_subst(f, theta))
+        assert normalize(f, leaf) == want
+        assert normalize(normalize(f), leaf) == want
+        assert normalize(apply_subst(f, theta)) == want
+        for kind in _merges(apply_subst(normalize(f), theta)):
+            merged[kind] += 1
+    # 80 and 26 of the 2000 draws of this seed
+    assert merged["junction"] >= draws // 40 and merged["iff"] >= draws // 200, merged
 
 
 def test_paths():

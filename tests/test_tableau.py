@@ -231,7 +231,8 @@ def _renamed_whole(tab, row1, row2):
 
 def _old_construction(tab, rule, rid1, path1, rid2, path2, direction=None):
     """(kind, formula, output, unifier text, counter) of the row rule makes,
-    built as it once was: row 2 renamed whole, then each part substituted."""
+    built as it once was: row 2 renamed whole, then each part substituted;
+    None if the occurrences do not unify."""
     row1, row2 = tab.row(rid1), tab.row(rid2)
     (f2, out2), fresh = _renamed_whole(tab, row1, row2)
     p1, p2 = L.parse_path(path1), L.parse_path(path2)
@@ -245,6 +246,8 @@ def _old_construction(tab, rule, rid1, path1, rid2, path2, direction=None):
         theta = L.term_unify(L.get_at(f2, p2), src, tab.sig)
         part1, part2 = L.replace_at(row1.formula, p1, L.FALSE), L.replace_at(f2, p2, dst)
         then, els = out2, row1.output
+    if theta is None:
+        return None
     sub = lambda n: None if n is None else L.apply_subst(n, theta)  # noqa: E731
     g1, g2 = sub(part1), sub(part2)
     g1, g2 = (g if r.kind == GOAL else Not(g) for g, r in ((g1, row1), (g2, row2)))
