@@ -53,6 +53,7 @@ class Theory:
     relations: dict[str, RelSpec] = field(default_factory=dict)
     specs: dict[str, ProgramSpec] = field(default_factory=dict)
     signature: L.Signature = field(default_factory=L.default_signature)
+    _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def load_theory(text: str) -> Theory:
@@ -301,7 +302,7 @@ def _key_and_weight(row: Row, config: SearchConfig) -> tuple[tuple, int]:
     The key is the row's kind, whether it has an output (a row restating a
     formula with another program fragment is a duplicate), and its formula
     read as L.canonical reads it.  A node weighs its symbol's weight, or 1."""
-    weights, numbers, total = config.weights, {}, 0
+    weights, numbers, total, children = config.weights, {}, 0, L.CHILDREN
     key: list = [row.kind, row.output is None]
     stack = [row.formula]
     while stack:
@@ -311,15 +312,15 @@ def _key_and_weight(row: Row, config: SearchConfig) -> tuple[tuple, int]:
             key += (typ, numbers.setdefault(n.name, len(numbers)), n.sort)
             total += 1
             continue
-        kids = L.children(n)
-        stack.extend(reversed(kids))
-        symbol = n.pred if typ is L.Atom else n.fn if typ is L.Apply else None
-        if symbol is None:
-            key += (typ, len(kids))
-            total += weights.get("=", 1) if typ is L.Eq else 1
-        else:
+        if typ is L.Atom or typ is L.Apply:
+            kids, symbol = n.args, n.pred if typ is L.Atom else n.fn
             key += (typ, symbol, len(kids))
             total += weights.get(symbol, 1)
+        else:
+            kids = children[typ](n)
+            key += (typ, len(kids))
+            total += weights.get("=", 1) if typ is L.Eq else 1
+        stack += kids[::-1]
     return tuple(key), total
 
 
@@ -356,7 +357,8 @@ def _rewriting_sides(row: Row) -> tuple:
 class _KeptRows:
     """The atom occurrences of the search's kept rows, by rid, and an index of
     the active rows' occurrences and rewriting sides.  Only rows in the
-    passive queue or the active list are entered, and truncate drops none."""
+    passive queue or the active list are entered, and truncate drops none.
+    A search starts from a copy of its theory's lemma index (_lemma_rows)."""
 
     def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
@@ -364,6 +366,13 @@ class _KeptRows:
         # or (active position, direction)
         self.index: dict[tuple, dict[tuple, list]] = {}
         self.sides: dict[tuple, dict[tuple, list]] = {}
+
+    def copy(self) -> _KeptRows:
+        """A _KeptRows with this one's index entries, in lists of its own."""
+        new = _KeptRows()
+        for old, index in ((self.index, new.index), (self.sides, new.sides)):
+            index.update((h, {s: list(e) for s, e in by.items()}) for h, by in old.items())
+        return new
 
     def occurrences(self, row: Row) -> tuple[list, list]:
         """The row's atom occurrences as (position, path text, atom, shape):
@@ -432,6 +441,24 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
     yield from (move for _, move in sorted(moves))
 
 
+def _lemma_rows(theory: Theory, tableau: Tableau, config: SearchConfig) -> tuple:
+    """The theory's lemma rows, by name, put after tableau's goal, with their keys
+    and a _KeptRows of them: the search's own copies of what the first search
+    over the theory built, kept on it while the lemmas stay the same.  A lemma
+    row never waits in the passive queue, so its key needs no weights."""
+    lemmas = tuple(sorted(theory.lemmas.items()))
+    if theory._prepared is None or theory._prepared[0] != lemmas:
+        rows, kept = tuple(tableau.add_assertion(name=name) for name, _ in lemmas), _KeptRows()
+        for k, row in enumerate(rows):
+            kept.activate(row, k)
+        kept._occurrences.clear()  # no search reads a lemma row's occurrences again
+        keys = frozenset(_key_and_weight(row, config)[0] for row in rows)
+        theory._prepared = (lemmas, rows, keys, kept)
+    _, rows, keys, kept = theory._prepared
+    tableau.rows[1:] = rows
+    return list(rows), set(keys), kept.copy()
+
+
 def search(
     theory: Theory, spec_name: str, config: SearchConfig
 ) -> tuple[Tableau, ProgramDef] | None:
@@ -452,17 +479,13 @@ def search(
     vacuous.  Only the counter of fresh names differs from trying them.
     """
     tableau = make_tableau(theory, spec_name)
-    for name in sorted(theory.lemmas):
-        tableau.add_assertion(name=name)
-    seen = {_key_and_weight(r, config)[0] for r in tableau.rows}
+    goal = tableau.rows[0]
     # the theory's lemmas are usable from the start; only derived rows and
     # the initial goal wait in the passive queue, where no two share a rid
-    active: list[Row] = [r for r in tableau.rows if r.step[0] == "assert"]
-    goal = tableau.rows[0]
-    passive = [(_key_and_weight(goal, config)[1], goal.rid, goal)]
-    kept = _KeptRows()
-    for k, lemma in enumerate(active):
-        kept.activate(lemma, k)
+    active, seen, kept = _lemma_rows(theory, tableau, config)
+    key, weight = _key_and_weight(goal, config)
+    seen.add(key)
+    passive = [(weight, goal.rid, goal)]
 
     while passive and len(tableau.rows) < config.max_rows:
         row = heapq.heappop(passive)[-1]

@@ -243,25 +243,27 @@ FALSE = FalseF()
 
 _LEAF = (lambda n: (), None)
 
-# node type -> (its children, a rebuild of the node from new children)
+# node type -> (its children, read by an attrgetter where one can, a rebuild)
 _SHAPES: dict[type, tuple[Callable, Optional[Callable]]] = {
     TrueF: _LEAF,
     FalseF: _LEAF,
     MetaVar: _LEAF,
-    Apply: (lambda n: n.args, lambda n, k: Apply(n.fn, k)),
-    Cond: (lambda n: (n.test, n.then, n.els), lambda n, k: Cond(*k)),
-    Atom: (lambda n: n.args, lambda n, k: Atom(n.pred, k)),
-    Eq: (lambda n: (n.lhs, n.rhs), lambda n, k: Eq(*k)),
+    Apply: (operator.attrgetter("args"), lambda n, k: Apply(n.fn, k)),
+    Cond: (operator.attrgetter("test", "then", "els"), lambda n, k: Cond(*k)),
+    Atom: (operator.attrgetter("args"), lambda n, k: Atom(n.pred, k)),
+    Eq: (operator.attrgetter("lhs", "rhs"), lambda n, k: Eq(*k)),
     Not: (lambda n: (n.body,), lambda n, k: Not(*k)),
-    And: (lambda n: n.parts, lambda n, k: And(k)),
-    Or: (lambda n: n.parts, lambda n, k: Or(k)),
-    Implies: (lambda n: (n.antecedent, n.consequent), lambda n, k: Implies(*k)),
-    Iff: (lambda n: (n.lhs, n.rhs), lambda n, k: Iff(*k)),
+    And: (operator.attrgetter("parts"), lambda n, k: And(k)),
+    Or: (operator.attrgetter("parts"), lambda n, k: Or(k)),
+    Implies: (operator.attrgetter("antecedent", "consequent"), lambda n, k: Implies(*k)),
+    Iff: (operator.attrgetter("lhs", "rhs"), lambda n, k: Iff(*k)),
 }
+# node type -> its children, for walks that read them without calling children
+CHILDREN = {typ: kids for typ, (kids, _) in _SHAPES.items()}
 
 
 def children(node: Node) -> tuple[Node, ...]:
-    return _SHAPES[type(node)][0](node)
+    return CHILDREN[type(node)](node)
 
 
 def nodes(node: Node) -> Iterator[Node]:
@@ -707,14 +709,16 @@ def junction(ctor: type, parts) -> Formula:
     or units, and the absorber as soon as one comes."""
     unit, absorber = (TrueF, FalseF) if ctor is And else (FalseF, TrueF)
     flat: list[Formula] = []
+    kept: dict[type, list[Formula]] = {}  # a part equals only parts of its own type
     for p in parts:
         typ = type(p)
         if typ is unit:
             continue
         if typ is absorber:
             return absorber()
-        if typ is ctor:
-            flat.extend(q for q in p.parts if q not in flat)
-        elif p not in flat:
-            flat.append(p)
+        for q in p.parts if typ is ctor else (p,):
+            same = kept.setdefault(type(q), [])
+            if q not in same:
+                same.append(q)
+                flat.append(q)
     return ctor(tuple(flat)) if len(flat) > 1 else flat[0] if flat else unit()

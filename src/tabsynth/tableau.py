@@ -25,7 +25,6 @@ from .logic import (
     Implies,
     LTerm,
     MetaVar,
-    Not,
     Or,
     Signature,
     TrueF,
@@ -76,6 +75,7 @@ class StandardizeApartError(RuntimeError):
 
 ASSERTION = "assertion"
 GOAL = "goal"
+_ATOMIC = (Atom, Eq, TrueF, FalseF)  # what resolution may select
 
 # symbols allowed in extracted program bodies (beyond parameters and the
 # program's own name)
@@ -120,6 +120,7 @@ class Row:
     step: tuple  # the step that made the row, as engine.apply_step takes it
     theta: tuple | None = None  # the unifier the step applied, as sorted pairs
     _residues: dict = field(default_factory=dict, compare=False, repr=False)
+    _paths: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def unifier(self) -> str:
@@ -135,11 +136,22 @@ class Row:
             names |= {mv.name for mv in L.metavars_of(self.output)}
         return frozenset(names)
 
+    @cached_property
+    def metavar_bases(self) -> tuple[tuple[str, str], ...]:
+        """Each metavar name, in sorted order, with its base: the name up to any #."""
+        return tuple((name, name.split("#", 1)[0]) for name in sorted(self.metavar_names))
+
+    def at(self, path: str) -> tuple[tuple[int, ...], L.Node]:
+        """The path text parsed, with the formula's node at that path, found once."""
+        if path not in self._paths:
+            self._paths[path] = (p := L.parse_path(path), L.get_at(self.formula, p))
+        return self._paths[path]
+
     def residue(self, path: str, constant: Formula) -> Formula:
         """The formula with constant (true or false) at path, normalized, built once."""
         key = (path, type(constant))  # TRUE and FALSE hash alike
         if key not in self._residues:
-            f = L.replace_at(self.formula, L.parse_path(path), constant)
+            f = L.replace_at(self.formula, self.at(path)[0], constant)
             self._residues[key] = L.normalize(f)
         return self._residues[key]
 
@@ -260,14 +272,13 @@ class Tableau:
     def _rename_apart(self, row1: Row, row2: Row) -> dict[str, str]:
         """A fresh name for each metavar of row 2, formula and output, skipping
         the names row 1 uses; StandardizeApartError guards that they share none."""
-        mapping = {}
-        for name in sorted(row2.metavar_names):
-            base = name.split("#", 1)[0]
+        mapping, taken = {}, row1.metavar_names
+        for name, base in row2.metavar_bases:
             self._fresh += 1
-            while f"{base}#{self._fresh}" in row1.metavar_names:
+            while f"{base}#{self._fresh}" in taken:
                 self._fresh += 1
             mapping[name] = f"{base}#{self._fresh}"
-        shared = row1.metavar_names.intersection(mapping.values())
+        shared = taken.intersection(mapping.values())
         if shared:
             raise StandardizeApartError(
                 f"rows {row1.rid} and {row2.rid} share {sorted(shared)} "
@@ -349,9 +360,10 @@ class Tableau:
         """
         row1, row2 = self.row(rid1), self.row(rid2)
         fresh = self._rename_apart(row1, row2)
-        p1, p2 = L.parse_path(path1), L.parse_path(path2)
-        occ1 = self._formula_at(row1.formula, p1)
-        occ2 = L.rename_metavars(self._formula_at(row2.formula, p2), fresh)
+        occ1, occ2 = row1.at(path1)[1], row2.at(path2)[1]
+        if not (isinstance(occ1, _ATOMIC) and isinstance(occ2, _ATOMIC)):
+            raise BadPathError("resolution selects atomic subformulas")
+        occ2 = L.rename_metavars(occ2, fresh)
         theta = L.term_unify(occ2, occ1, self.sig)
         if theta is None:
             raise NotUnifiableError(
@@ -379,17 +391,14 @@ class Tableau:
         if direction not in ("ltr", "rtl"):
             raise TableauError(f"direction must be ltr or rtl, not {direction!r}")
         row1, row2 = self.row(rid1), self.row(rid2)
-        p1, p2 = L.parse_path(path1), L.parse_path(path2)
-        eqnode = L.get_at(row1.formula, p1)
+        eqnode = row1.at(path1)[1]
         if not isinstance(eqnode, node_type):
             raise BadPathError(f"row {rid1} at {path1} is not {node_type.__name__}")
         fresh = self._rename_apart(row1, row2)
-        target = L.get_at(row2.formula, p2)
+        p2, target = row2.at(path2)
         if node_type is Eq and not isinstance(target, (MetaVar, Apply, Cond)):
             raise BadPathError("equality replacement needs a term occurrence")
-        if node_type is Iff and not isinstance(
-            target, (Atom, Eq, Not, And, Or, Implies, Iff, TrueF, FalseF)
-        ):
+        if node_type is Iff and isinstance(target, (MetaVar, Apply, Cond)):
             raise BadPathError("equivalence replacement needs a formula occurrence")
         sides = (eqnode.lhs, eqnode.rhs)
         src, dst = sides if direction == "ltr" else sides[::-1]
@@ -464,12 +473,6 @@ class Tableau:
         return bad is None
 
     # -- helpers ---------------------------------------------------------
-
-    def _formula_at(self, f: Formula, path: tuple[int, ...]) -> Formula:
-        occ = L.get_at(f, path)
-        if not isinstance(occ, (Atom, Eq, TrueF, FalseF)):
-            raise BadPathError("resolution selects atomic subformulas")
-        return occ
 
     def _emit(self, step, theta, sub2, row1, part1, row2, part2, occ1) -> Row:
         """The row a pair rule makes of part1 of row 1 and part2 of row 2, both

@@ -6,8 +6,9 @@ most-general idempotence with sampled unifiers, probing a relation for
 strictness on sampled pairs, weak generality by matching, an
 expression's variables, size and subexpressions by recursion instead of
 the attributes each node keeps, composition by rebuilding the whole
-binding map, and the normal form of a formula and the simplified form of
-a program body by the earlier algorithms that re-walk what they build.
+binding map, the normal form of a formula and the simplified form of
+a program body by the earlier algorithms that re-walk what they build,
+and a search row's duplicate key and weight through logic.children.
 """
 
 from __future__ import annotations
@@ -281,3 +282,28 @@ def _reference_simplify_once(t: L.LTerm) -> L.LTerm:
     if isinstance(els, L.Cond) and els.test == test:
         els = els.els
     return L.Cond(test, then, els)
+
+
+def reference_key_and_weight(row, config) -> tuple[tuple, int]:
+    """engine._key_and_weight as it was before it read arguments itself: every
+    node's children through logic.children, pushed reversed."""
+    weights, numbers, total = config.weights, {}, 0
+    key: list = [row.kind, row.output is None]
+    stack = [row.formula]
+    while stack:
+        n = stack.pop()
+        typ = type(n)
+        if typ is L.MetaVar:
+            key += (typ, numbers.setdefault(n.name, len(numbers)), n.sort)
+            total += 1
+            continue
+        kids = L.children(n)
+        stack.extend(reversed(kids))
+        symbol = n.pred if typ is L.Atom else n.fn if typ is L.Apply else None
+        if symbol is None:
+            key += (typ, len(kids))
+            total += weights.get("=", 1) if typ is L.Eq else 1
+        else:
+            key += (typ, symbol, len(kids))
+            total += weights.get(symbol, 1)
+    return tuple(key), total

@@ -14,6 +14,7 @@ from tabsynth.logic import MetaVar
 from tabsynth.tableau import ASSERTION, GOAL, NotUnifiableError, Row, Tableau
 from tabsynth.wf import Base
 
+from oracles import reference_key_and_weight
 from test_tableau import _old_construction
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
@@ -545,27 +546,121 @@ def test_a_reused_rid_gets_its_own_live_and_residue_answers(unify_theory):
     assert kept.live(row, "1", L.TRUE)
 
 
-def test_full_theory_search_makes_a_fixed_number_of_calls(unify_theory):
+def test_full_theory_search_makes_a_fixed_number_of_calls():
     # Python-level calls of the package, counted as
     # test_reference_unify_makes_a_fixed_number_of_calls counts them, during
-    # a 250-row search; 137,078 to 137,116, by the string hash seed, when
-    # each resolvent was substituted whole and its conjunction normalized
+    # a 250-row search on a freshly loaded theory (cold), which prepares its
+    # lemma rows, and during a second one (warm), which reuses them;
+    # 137,078 to 137,116, by the string hash seed, when each resolvent was
+    # substituted whole and its conjunction normalized, and 106,661 when
+    # every search built its own lemma rows and every move parsed its paths
+    theory = engine.load_theory((DATA / "unify.thy").read_text())
     package = str(pathlib.Path(engine.__file__).parent)
-    count = 0
+    counts = []
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "call":
             path = frame.f_code.co_filename
-            count += path == "<string>" or path.startswith(package)
+            counts[-1] += path == "<string>" or path.startswith(package)
 
-    sys.setprofile(profile)
-    try:
-        result = engine.search(unify_theory, "unify", engine.SearchConfig(max_rows=250))
-    finally:
-        sys.setprofile(None)
-    assert result is None
-    assert count == 106_661
+    for _ in ("cold", "warm"):
+        counts.append(0)
+        sys.setprofile(profile)
+        try:
+            result = engine.search(theory, "unify", engine.SearchConfig(max_rows=250))
+        finally:
+            sys.setprofile(None)
+        assert result is None
+    assert counts == [76_290, 71_089]
+
+
+@pytest.mark.parametrize(
+    "thy, spec, rows, weights, keyed",
+    [
+        ("unify_same.thy", "unify-same", 200, {}, 46),
+        ("unify_same.thy", "unify-same", 200, {"mgiu": 3, "=": 2, "idem": 2}, 46),
+        ("unify.thy", "unify", 300, {}, 773),
+    ],
+)
+def test_duplicate_keys_and_weights_match_the_walk_through_children(
+    monkeypatch, thy, spec, rows, weights, keyed
+):
+    # _key_and_weight reads arguments itself and other children from
+    # logic.CHILDREN; every row the search keys, the lemma rows included,
+    # gets the key and weight the old walk gave it
+    key_and_weight, checked = engine._key_and_weight, []
+
+    def compared(row, config):
+        got = key_and_weight(row, config)
+        assert got == reference_key_and_weight(row, config), row.rid
+        checked.append(row)
+        return got
+
+    monkeypatch.setattr(engine, "_key_and_weight", compared)
+    theory = engine.load_theory((DATA / thy).read_text())
+    engine.search(theory, spec, engine.SearchConfig(max_rows=rows, weights=weights))
+    assert len(checked) == keyed
+
+
+# -- the lemma rows a theory keeps ---------------------------------------------
+
+
+def _search_tableau(monkeypatch, theory, spec, rows):
+    """Run a search over theory; return its result and the tableau it made."""
+    made, make = [], engine.make_tableau
+    monkeypatch.setattr(engine, "make_tableau", lambda *args: made.append(make(*args)) or made[-1])
+    result = engine.search(theory, spec, engine.SearchConfig(max_rows=rows))
+    monkeypatch.undo()
+    return result, made[-1]
+
+
+def test_a_warm_search_reuses_the_lemma_rows_and_keeps_the_same_rows(monkeypatch):
+    theory = engine.load_theory((DATA / "unify.thy").read_text())
+    _, cold = _search_tableau(monkeypatch, theory, "unify", 300)
+    _, warm = _search_tableau(monkeypatch, theory, "unify", 300)
+    assert _digest(cold) == _digest(warm) == FULL_300_DIGEST
+    assert cold._fresh == warm._fresh
+    lemmas = slice(1, len(theory.lemmas) + 1)
+    assert [r.step for r in warm.rows[lemmas]] == [("assert", n) for n in sorted(theory.lemmas)]
+    assert all(a is b for a, b in zip(cold.rows[lemmas], warm.rows[lemmas], strict=True))
+    assert warm.rows[0] is not cold.rows[0]
+
+
+def test_changed_lemmas_get_new_lemma_rows(monkeypatch):
+    def change(theory):
+        # one lemma gone, and another name bound to a third lemma's formula
+        names = sorted(theory.lemmas)
+        del theory.lemmas[names[0]]
+        theory.lemmas[names[1]] = theory.lemmas[names[2]]
+        return theory
+
+    text = (DATA / "unify.thy").read_text()
+    theory = engine.load_theory(text)
+    _, before = _search_tableau(monkeypatch, theory, "unify", 200)
+    _, after = _search_tableau(monkeypatch, change(theory), "unify", 200)
+    _, want = _search_tableau(monkeypatch, change(engine.load_theory(text)), "unify", 200)
+    assert not {id(r) for r in before.rows} & {id(r) for r in after.rows}
+    assert [r.step for r in after.rows[1:43]] == [("assert", n) for n in sorted(theory.lemmas)]
+    assert _digest(after) == _digest(want) != _digest(before)
+    assert after._fresh == want._fresh
+
+
+def test_bad_paths_report_the_same_errors_when_rows_cache_their_paths(unify_theory):
+    tableau = engine.make_tableau(unify_theory, "unify")
+    goal = tableau.rows[0]
+    tableau.insert_induction_hypothesis("u-rel")
+    for _ in range(2):  # the second time, the good paths come from the rows' caches
+        with pytest.raises(L.BadPathError, match=r"^bad path 99: the node at - has 2 children$"):
+            tableau.resolve(1, "1", 2, "99")
+        with pytest.raises(L.BadPathError, match=r"^bad path 'x'$"):
+            tableau.resolve(1, "x", 2, "1")
+        with pytest.raises(L.BadPathError, match=r"^resolution selects atomic subformulas$"):
+            tableau.resolve(1, "1", 2, "2")
+        with pytest.raises(L.BadPathError, match=r"^row 1 at 1 is not Iff$"):
+            tableau.equivalence_replace(1, "1", 2, "1", "ltr")
+    assert len(tableau.rows) == 2
+    assert goal.at("1") == ((1,), L.get_at(goal.formula, (1,)))
+    assert goal.at("1") is goal.at("1")
 
 
 # -- what the search does -----------------------------------------------------
