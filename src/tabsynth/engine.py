@@ -297,31 +297,14 @@ class SearchConfig:
 
 
 def _key_and_weight(row: Row, config: SearchConfig) -> tuple[tuple, int]:
-    """The row's duplicate key and its formula's weight, in one walk.
-
-    The key is the row's kind, whether it has an output (a row restating a
-    formula with another program fragment is a duplicate), and its formula
-    read as L.canonical reads it.  A node weighs its symbol's weight, or 1."""
-    weights, numbers, total, children = config.weights, {}, 0, L.CHILDREN
-    key: list = [row.kind, row.output is None]
-    stack = [row.formula]
-    while stack:
-        n = stack.pop()
-        typ = type(n)
-        if typ is L.MetaVar:
-            key += (typ, numbers.setdefault(n.name, len(numbers)), n.sort)
-            total += 1
-            continue
-        if typ is L.Atom or typ is L.Apply:
-            kids, symbol = n.args, n.pred if typ is L.Atom else n.fn
-            key += (typ, symbol, len(kids))
-            total += weights.get(symbol, 1)
-        else:
-            kids = children[typ](n)
-            key += (typ, len(kids))
-            total += weights.get("=", 1) if typ is L.Eq else 1
-        stack += kids[::-1]
-    return tuple(key), total
+    """The row's duplicate key, (kind, has no output, L.canonical of its formula), so a
+    formula restated with another program fragment is a duplicate; and its weight."""
+    form = L.canonical(row.formula)
+    symbols, weight = form[1::3], len(form) // 3  # each node weighs its symbol's weight, or 1
+    for symbol, w in config.weights.items():
+        if isinstance(symbol, str):  # a metavar's symbol is its number
+            weight += (w - 1) * symbols.count(symbol)
+    return (row.kind, row.output is None, form), weight
 
 
 def _shape(atom: L.Node) -> tuple:

@@ -304,25 +304,28 @@ def head(node: Node) -> tuple:
 
 
 def canonical(item: Node | tuple) -> tuple:
-    """The pre-order heads and arities of item, as one flat tuple.
-
-    A metavar is (MetaVar, n, sort), n numbering the names by first
-    occurrence, so two items are equal up to a bijective renaming of
-    metavars exactly when their canonical forms are equal.  A tuple of
-    nodes or None is read entry by entry under one numbering.
-    """
-    numbers: dict[str, int] = {}
-    out: list = []
-    for part in item if isinstance(item, tuple) else (item,):
-        if part is None:
+    """Each node of item as (type, symbol, arity), in pre-order, in one flat tuple: the
+    symbol of an Atom or an Apply, "=" for an Eq, else None; a metavar is (MetaVar, n,
+    sort), n numbering the names by first occurrence.  So two items are equal up to a
+    bijective renaming of metavars exactly when their canonical forms are equal.  A
+    tuple of nodes or None is read entry by entry under one numbering."""
+    numbers, out = {}, []
+    stack = list(item[::-1]) if isinstance(item, tuple) else [item]
+    while stack:
+        n = stack.pop()
+        typ = type(n)
+        if typ is Apply:
+            out += (typ, n.fn, len(n.args))
+            if n.args:
+                stack += n.args[::-1]
+        elif typ is MetaVar:
+            out += (typ, numbers.setdefault(n.name, len(numbers)), n.sort)
+        elif n is None:
             out.append(None)
-            continue
-        for n in nodes(part):
-            if type(n) is MetaVar:
-                out += (MetaVar, numbers.setdefault(n.name, len(numbers)), n.sort)
-            else:
-                out += head(n)
-                out.append(len(children(n)))
+        else:
+            kids = n.args if typ is Atom else CHILDREN[typ](n)
+            out += (typ, n.pred if typ is Atom else "=" if typ is Eq else None, len(kids))
+            stack += kids[::-1]
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ from . import logic as L
 from . import subst as S
 from . import term as T
 from . import wf
-from .logic import Apply, Atom, Cond, Eq, Formula, LTerm, MetaVar, Signature
+from .logic import Apply, Atom, Cond, Eq, Formula, LTerm, MetaVar
 from .tableau import ProgramDef, nonprimitive_symbol
 
 
@@ -297,7 +297,7 @@ def _pp_term(t: LTerm, indent: int) -> str:
     return pad + L.print_formula(t)
 
 
-def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
+def parse_program(text: str) -> ProgramDef:
     """Parse `(define (name params...) body)`; params get default sorts."""
     try:
         datum = T.read_sexp(text)
@@ -313,7 +313,7 @@ def parse_program(text: str, sig: Signature | None = None) -> ProgramDef:
     ):
         raise ProgramError("expected (define (name params...) body)")
     name, *params = datum[1]
-    sig = sig or L.default_signature()
+    sig = L.default_signature()
     # environment-carrying programs: substitution first, expressions after
     sorts = ["subst", "expr", "expr"] if len(params) == 3 else ["expr"] * len(params)
     for pname, sort in zip(params, sorts):

@@ -307,3 +307,23 @@ def reference_key_and_weight(row, config) -> tuple[tuple, int]:
             key += (typ, symbol, len(kids))
             total += weights.get(symbol, 1)
     return tuple(key), total
+
+
+def reference_canonical(item) -> tuple:
+    """logic.canonical as it was before it read arguments itself: the
+    pre-order heads and arities of item, through logic.nodes, logic.head and
+    logic.children, a metavar as (MetaVar, n, sort) numbered by first
+    occurrence; a tuple of nodes or None read entry by entry."""
+    numbers: dict[str, int] = {}
+    out: list = []
+    for part in item if isinstance(item, tuple) else (item,):
+        if part is None:
+            out.append(None)
+            continue
+        for n in L.nodes(part):
+            if type(n) is L.MetaVar:
+                out += (L.MetaVar, numbers.setdefault(n.name, len(numbers)), n.sort)
+            else:
+                out += L.head(n)
+                out.append(len(L.children(n)))
+    return tuple(out)

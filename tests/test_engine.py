@@ -442,6 +442,71 @@ def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace
     return watched
 
 
+def _derivation_key(row) -> tuple:
+    """The row up to metavar renaming, its output included."""
+    return (row.kind, L.canonical((row.formula, row.output)))
+
+
+def _hint(monkeypatch, hints) -> None:
+    """Make every row whose _derivation_key is in hints weigh less than every
+    other row, so that the search picks it first: R. Veroff's hints strategy
+    (JAR 16(3), 1996), used as a meter.  Only the pick order changes."""
+    key_and_weight = engine._key_and_weight
+
+    def hinted(row, config):
+        key, weight = key_and_weight(row, config)
+        return key, (_derivation_key(row) not in hints, weight)
+
+    monkeypatch.setattr(engine, "_key_and_weight", hinted)
+
+
+def _in_move_space(tableau, step) -> bool:
+    """Whether moves_for can yield a step of a derivation over tableau.
+
+    A lemma row is never activated: split and orphan need a non-lemma row;
+    resolve needs a non-lemma parent whose atom is selected; iffrepl needs
+    an iff at the root of an assertion, and either that row not a lemma or
+    a non-lemma target whose atom is selected."""
+    def selected(rid, path):
+        row = tableau.row(rid)
+        own, _ = engine._KeptRows().occurrences(row)
+        return row.step[0] != "assert" and any(occ[1] == path for occ in own)
+
+    def lemma(rid):
+        return tableau.row(rid).step[0] == "assert"
+
+    rule = step[0]
+    if rule == "split":
+        return not lemma(step[1])
+    if rule == "orphan":
+        return not lemma(step[1]) and tableau.row(step[1]).kind == ASSERTION
+    if rule == "resolve":
+        return selected(step[1], step[2]) or selected(step[3], step[4])
+    if rule == "iffrepl":
+        _, iff, at, target, path, _ = step
+        rewrites = at == "-" and tableau.row(iff).kind == ASSERTION
+        return rewrites and (not lemma(iff) or selected(target, path))
+    return False
+
+
+def _closure(tableau) -> tuple[list, list]:
+    """The rows of a derivation that no step outside the move space leads to,
+    init and assert rows aside, and the steps outside it, by the rid each made."""
+    outside, free = [], []
+    for row in tableau.rows:
+        if row.step[0] in ("init", "assert"):
+            continue
+        if not _in_move_space(tableau, row.step):
+            outside.append(row.rid)
+        ancestors, stack = set(), [row.rid]
+        while stack:
+            ancestors.add(rid := stack.pop())
+            stack.extend(a for a in tableau.row(rid).step if type(a) is int)
+        if not ancestors & set(outside):
+            free.append(row.rid)
+    return free, outside
+
+
 def _search_watched(monkeypatch, thy, spec, rows):
     """Run a search; return its result, its tableau, the moves it skipped,
     and the number of calls of each pair rule."""
@@ -571,7 +636,7 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         finally:
             sys.setprofile(None)
         assert result is None
-    assert counts == [76_290, 71_089]
+    assert counts == [76_825, 71_581]
 
 
 @pytest.mark.parametrize(
@@ -580,26 +645,32 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         ("unify_same.thy", "unify-same", 200, {}, 46),
         ("unify_same.thy", "unify-same", 200, {"mgiu": 3, "=": 2, "idem": 2}, 46),
         ("unify.thy", "unify", 300, {}, 773),
+        # a connective's keyword names no symbol, so "and" weighs nothing
+        ("unify.thy", "unify", 300, {"and": 5}, 773),
     ],
 )
 def test_duplicate_keys_and_weights_match_the_walk_through_children(
     monkeypatch, thy, spec, rows, weights, keyed
 ):
-    # _key_and_weight reads arguments itself and other children from
-    # logic.CHILDREN; every row the search keys, the lemma rows included,
-    # gets the key and weight the old walk gave it
-    key_and_weight, checked = engine._key_and_weight, []
+    # _key_and_weight reads its key and weight off logic.canonical; every
+    # row the search keys, the lemma rows included, gets the weight the old
+    # walk gave it, and two keyed rows share a key exactly when the old
+    # walk gave them equal keys
+    key_and_weight, checked, pairs = engine._key_and_weight, [], set()
 
     def compared(row, config):
         got = key_and_weight(row, config)
-        assert got == reference_key_and_weight(row, config), row.rid
+        want = reference_key_and_weight(row, config)
+        assert got[1] == want[1], row.rid
         checked.append(row)
+        pairs.add((got[0], want[0]))
         return got
 
     monkeypatch.setattr(engine, "_key_and_weight", compared)
     theory = engine.load_theory((DATA / thy).read_text())
     engine.search(theory, spec, engine.SearchConfig(max_rows=rows, weights=weights))
     assert len(checked) == keyed
+    assert len({k for k, _ in pairs}) == len({k for _, k in pairs}) == len(pairs) < keyed
 
 
 # -- the lemma rows a theory keeps ---------------------------------------------
@@ -692,24 +763,46 @@ def test_activated_rows_descend_from_the_goal(monkeypatch, thy, spec, rows):
         assert goal.rid in ancestors, row.rid
 
 
+@pytest.mark.parametrize(
+    "hinted, pinned",
+    [
+        (False, [3, 4, 5, 7, 9, 37, 51]),
+        (True, [3, 4, 5, 7, 9, 11, 21, 37, 51, 67, 70, 72, 74, 76, 101]),
+    ],
+    ids=["unhinted", "hinted"],
+)
 def test_full_theory_search_recreates_the_pinned_derivation_rows(
-    monkeypatch, unify_theory, derivation
+    monkeypatch, unify_theory, derivation, hinted, pinned
 ):
     # rediscovery: which derivation rows other than init and assert the
-    # search makes again, up to metavar renaming
-    def key(row):
-        return (row.kind, L.canonical((row.formula, row.output)))
-
+    # search makes again, up to metavar renaming; hinted, it picks those
+    # rows first, so the hinted list is what the move space lets the search
+    # reach within the budget and the unhinted one what its strategy finds
     replayed, _ = engine.replay(unify_theory, "unify", derivation)
     derived = {}
     for row in replayed.rows:
         if row.step[0] not in ("init", "assert"):
-            derived.setdefault(key(row), row.rid)
+            derived.setdefault(_derivation_key(row), row.rid)
     assert len(derived) == 94
+    if hinted:
+        _hint(monkeypatch, derived)
     tableau = _watch(monkeypatch, "unify.thy", "unify", 500).tableau
-    made = {key(row) for row in tableau.rows}
+    made = {_derivation_key(row) for row in tableau.rows}
     recreated = sorted(rid for k, rid in derived.items() if k in made)
-    assert recreated == [3, 4, 5, 7, 9, 37, 51]
+    assert recreated == pinned
+
+
+def test_the_derivation_rows_the_move_space_reaches(unify_theory, derivation):
+    # induct, eqrepl, resolve on an atom selected in no non-lemma parent, and
+    # iffrepl with a lemma's iff below its root (rows 51 and 63) are outside;
+    # a free row has no such step among its ancestors, so the search can make
+    # it: a lower bound, as the unhinted search re-creates row 51 by another route
+    replayed, _ = engine.replay(unify_theory, "unify", derivation)
+    free, outside = _closure(replayed)
+    assert free == [3, 4, 5, 7, 9, 11, 21, 37, 67, 101]
+    assert outside == [
+        2, 13, 15, 22, 27, 39, 43, 45, 51, 54, 58, 63, 69, 78, 80, 90, 94, 108, 119, 127, 133
+    ]
 
 
 def test_clash_agrees_with_term_unify():

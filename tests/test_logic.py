@@ -1,14 +1,19 @@
 import itertools
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tabsynth import engine
 from tabsynth import logic as L
 from tabsynth.logic import (
     And,
     Apply,
     Atom,
+    Cond,
     Eq,
+    FALSE,
     FormulaSyntaxError,
     Iff,
     Implies,
@@ -16,6 +21,7 @@ from tabsynth.logic import (
     Not,
     Or,
     SortError,
+    TRUE,
     TrueF,
     apply_subst,
     default_signature,
@@ -32,7 +38,7 @@ from tabsynth.logic import (
 )
 
 from ground import ground_signature
-from oracles import reference_normalize
+from oracles import reference_canonical, reference_normalize
 
 
 def sig_with_params():
@@ -386,3 +392,81 @@ def test_term_unify_random_pairs():
         for image in theta.values():
             assert not ({mv.name for mv in metavars_of(image)} & set(theta))
     assert unified > 50
+
+
+# -- identity up to renaming --------------------------------------------------
+# logic.canonical reads arguments itself and emits three entries per node;
+# two items get equal canonical forms exactly when the old walk through
+# nodes, head and children gave them equal forms
+
+
+def _same_partition(items) -> None:
+    """items group under canonical exactly as under reference_canonical."""
+    def groups(key):
+        by: dict = {}
+        for i, item in enumerate(items):
+            by.setdefault(key(item), set()).add(i)
+        return {frozenset(g) for g in by.values()}
+
+    assert groups(L.canonical) == groups(reference_canonical)
+
+
+def test_canonical_groups_the_bundled_replay_rows_as_the_reference_walk():
+    data = pathlib.Path(L.__file__).parent / "data"
+    theory = engine.load_theory((data / "unify.thy").read_text())
+    tableau, _ = engine.replay(theory, "unify", (data / "unify.derivation").read_text())
+    rows = tableau.rows
+    items = [r.formula for r in rows] + [(r.formula, r.output) for r in rows]
+    items += [r.output for r in rows if r.output is not None]
+    _same_partition(items)
+    # the replay restates rows up to renaming, and with and without an output
+    assert len(set(map(L.canonical, items))) < len(items)
+
+
+_NAMES = st.sampled_from("XYZ")
+_metavars = st.builds(MetaVar, _NAMES, st.sampled_from(["expr", "subst"]))
+
+
+def _atoms(terms):
+    # an Atom named "=" and an Apply named "and" share a symbol with an Eq
+    # and a connective's keyword
+    args = st.lists(terms, max_size=2).map(tuple)
+    return st.one_of(
+        st.just(TRUE), st.just(FALSE), st.builds(Eq, terms, terms),
+        st.builds(Atom, st.sampled_from(["is-var", "idem", "="]), args),
+    )
+
+
+_terms = st.recursive(
+    st.one_of(_metavars, st.builds(Apply, st.sampled_from(["e1", "th0"]))),
+    lambda terms: st.one_of(
+        st.builds(
+            Apply, st.sampled_from(["cons", "and"]), st.lists(terms, min_size=1, max_size=2).map(tuple)
+        ),
+        st.builds(Cond, _atoms(terms), terms, terms),
+    ),
+    max_leaves=5,
+)
+_formulas = st.recursive(
+    _atoms(_terms),
+    lambda fs: st.one_of(
+        st.builds(Not, fs),
+        st.builds(And, st.lists(fs, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(fs, min_size=2, max_size=3).map(tuple)),
+        st.builds(Implies, fs, fs),
+        st.builds(Iff, fs, fs),
+    ),
+    max_leaves=5,
+)
+_nodes = st.one_of(_formulas, _terms)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_canonical_equality_is_the_reference_walks(data):
+    a = data.draw(_nodes)
+    # b is another node, or a under a renaming that need not be one to one
+    renamings = st.dictionaries(_NAMES, st.sampled_from("XYZW"))
+    b = data.draw(st.one_of(_nodes, renamings.map(lambda m: rename_metavars(a, m))))
+    out = data.draw(st.one_of(st.none(), _terms))
+    _same_partition([a, b, (a, None), (b, None), (a, out), (b, out), (out, a)])
