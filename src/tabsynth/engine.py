@@ -302,8 +302,7 @@ def _key_and_weight(row: Row, config: SearchConfig) -> tuple[tuple, int]:
     form = L.canonical(row.formula)
     symbols, weight = form[1::3], len(form) // 3  # each node weighs its symbol's weight, or 1
     for symbol, w in config.weights.items():
-        if isinstance(symbol, str):  # a metavar's symbol is its number
-            weight += (w - 1) * symbols.count(symbol)
+        weight += (w - 1) * symbols.count(symbol)
     return (row.kind, row.output is None, form), weight
 
 
@@ -383,8 +382,13 @@ class _KeptRows:
     def live(self, row: Row, path: str, constant: L.Formula) -> bool:
         """Whether row, with constant put at path, can be a side of a useful move:
         not if its residue is false in a goal or true in an assertion, as a
-        meta-substitution only adds equal sides and never removes a constant."""
-        return not _vacuous(row.kind, row.residue(path, constant))
+        meta-substitution only adds equal sides and never removes a constant.
+        The answer is a flag the row keeps from the first time it is asked."""
+        key = (path, type(constant))  # TRUE and FALSE hash alike
+        flag = row._live.get(key)
+        if flag is None:
+            flag = row._live[key] = not _vacuous(row.kind, row.residue(path, constant))
+        return flag
 
 
 def _meeting(index: dict, atom: L.Node, shape: tuple):
@@ -438,6 +442,9 @@ def _lemma_rows(theory: Theory, tableau: Tableau, config: SearchConfig) -> tuple
         keys = frozenset(_key_and_weight(row, config)[0] for row in rows)
         theory._prepared = (lemmas, rows, keys, kept)
     _, rows, keys, kept = theory._prepared
+    for row in rows:  # parts under bindings last one search, or distinct ones pile up
+        for key in [key for key in row._parts if key[2]]:
+            del row._parts[key]
     tableau.rows[1:] = rows
     return list(rows), set(keys), kept.copy()
 
@@ -461,6 +468,9 @@ def search(
     or one side is not live (_KeptRows.live), which makes every result
     vacuous.  Only the counter of fresh names differs from trying them.
     """
+    symbols = {"=", *theory.signature.predicates, *theory.signature.functions}
+    if unknown := [s for s in config.weights if s not in symbols]:
+        raise EngineError(f"weights name no symbol of the theory: {', '.join(map(str, unknown))}")
     tableau = make_tableau(theory, spec_name)
     goal = tableau.rows[0]
     # the theory's lemmas are usable from the start; only derived rows and

@@ -605,51 +605,96 @@ MetaSubst = dict[str, LTerm]
 
 def apply_subst(node: Node, sub: MetaSubst) -> Node:
     """Homomorphic application of a meta-substitution."""
-    if not sub:
+    return substitute(sub, {}, node) if sub else node
+
+
+def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:
+    return substitute({}, mapping, node)
+
+
+def substitute(sub: MetaSubst, rename: dict[str, str], node: Node) -> Node:
+    """node with each metavar renamed by rename, then replaced by its image
+    under sub, in one walk; unchanged sub-trees are returned as they are."""
+    typ = type(node)
+    if typ is MetaVar:
+        name = rename.get(node.name, node.name)
+        new = sub.get(name)
+        if new is not None:
+            return new
+        return node if name is node.name else MetaVar(name, node.sort)
+    old = node.args if typ is Apply or typ is Atom else _SHAPES[typ][0](node)
+    if not old:
         return node
-    return map_node(node, lambda n: sub.get(n.name) if isinstance(n, MetaVar) else None)
+    new = tuple(map(substitute, repeat(sub), repeat(rename), old))
+    if all(map(operator.is_, new, old)):
+        return node
+    return Apply(node.fn, new) if typ is Apply else _SHAPES[typ][1](node, new)
 
 
 def term_unify(a: Node, b: Node, sig: Signature | None = None) -> Optional[MetaSubst]:
     """Most general syntactic unifier of two formulas or two terms.
 
     Occurs check included; the result is idempotent.  When two MetaVars
-    meet, the one from `a` is bound.  The pairs left to unify wait on an
-    explicit stack, so a deep term costs no recursion.
+    meet, the one from `a` is bound; a metavar is known by its name.  The
+    pairs left to unify wait on an explicit stack.  Bindings are triangular,
+    their terms unresolved, until the end, when only those that mention a
+    bound metavar are rebuilt: a deep term costs no recursion unless rebuilt.
     """
     sig = sig or default_signature()
     sub: MetaSubst = {}
+    mentions = []  # (a bound name, the names its term's occurs walk met)
     pairs = [(a, b)]
     while pairs:
         x, y = pairs.pop()
-        x = sub.get(x.name, x) if type(x) is MetaVar else x
-        y = sub.get(y.name, y) if type(y) is MetaVar else y
-        if x is y or (type(x) is MetaVar and x == y):
+        while type(x) is MetaVar and x.name in sub:
+            x = sub[x.name]
+        while type(y) is MetaVar and y.name in sub:
+            y = sub[y.name]
+        tx, ty = type(x), type(y)
+        if x is y or tx is ty is MetaVar and x.name == y.name:
             continue
-        if type(x) is not MetaVar and type(y) is not MetaVar:
-            xk, yk = children(x), children(y)
-            if head(x) != head(y) or len(xk) != len(yk):
+        if tx is not MetaVar and ty is not MetaVar:
+            xk, yk = CHILDREN[tx](x), CHILDREN[ty](y)
+            if tx is not ty or len(xk) != len(yk) or (
+                x.fn != y.fn if tx is Apply else tx is Atom and x.pred != y.pred
+            ):
                 return None
-            pairs.extend(zip(reversed(xk), reversed(yk)))
+            pairs += zip(xk[::-1], yk[::-1])
             continue
-        v, t = (x, y) if type(x) is MetaVar else (y, x)
+        v, t = (x, y) if tx is MetaVar else (y, x)
         if not isinstance(t, _TERM_TYPES):
             return None
-        t = apply_subst(t, sub)
-        if v.sort != "?" and sort_of(t, sig) != v.sort or v in metavars_of(t):
+        # a sort is read at the head, where a bound metavar of a known sort keeps it
+        if v.sort != "?" and (got := sort_of(t, sig)) != v.sort and (
+            got != "?" or sort_of(_resolve(t, sub), sig) != v.sort
+        ):
             return None
-        one = {v.name: t}
-        sub = {name: apply_subst(s, one) for name, s in sub.items()} | one
+        met, stack = [], [t]
+        while stack:  # the occurs test, through the bindings
+            n = stack.pop()
+            typ = type(n)
+            if typ is MetaVar:
+                if n.name == v.name:
+                    return None
+                met.append(n.name)
+                if n.name in sub:
+                    stack.append(sub[n.name])
+            else:
+                stack += n.args if typ is Apply else CHILDREN[typ](n)
+        sub[v.name] = t
+        if met:
+            mentions.append((v.name, met))
+    for name, met in mentions:
+        if not sub.keys().isdisjoint(met):
+            sub[name] = _resolve(sub[name], sub)
     return sub
 
 
-def rename_metavars(node: Node, mapping: dict[str, str]) -> Node:
-    return map_node(
-        node,
-        lambda n: MetaVar(mapping[n.name], n.sort)
-        if isinstance(n, MetaVar) and n.name in mapping
-        else None,
-    )
+def _resolve(t: LTerm, sub: MetaSubst) -> LTerm:
+    """t with each metavar that the triangular sub binds replaced, until none is left."""
+    while (new := substitute(sub, {}, t)) is not t:
+        t = new
+    return t
 
 
 # ---------------------------------------------------------------------------

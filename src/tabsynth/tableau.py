@@ -121,6 +121,8 @@ class Row:
     theta: tuple | None = None  # the unifier the step applied, as sorted pairs
     _residues: dict = field(default_factory=dict, compare=False, repr=False)
     _paths: dict = field(default_factory=dict, compare=False, repr=False)
+    _parts: dict = field(default_factory=dict, compare=False, repr=False)
+    _live: dict = field(default_factory=dict, compare=False, repr=False)  # engine's flags
 
     @property
     def unifier(self) -> str:
@@ -154,6 +156,21 @@ class Row:
             f = L.replace_at(self.formula, self.at(path)[0], constant)
             self._residues[key] = L.normalize(f)
         return self._residues[key]
+
+    def part(self, path: str, constant: Formula, theta: L.MetaSubst) -> Formula:
+        """The residue at path under theta, normalized and in goal sense: negated
+        in an assertion.  It depends only on what theta binds of this row's
+        metavars, and is built once per such binding; with none bound, it is
+        the residue itself in goal sense, built once per row."""
+        names = self.metavar_names
+        key = (path, type(constant), tuple([b for b in theta.items() if b[0] in names]))
+        part = self._parts.get(key)
+        if part is None:
+            part = self.residue(path, constant)
+            if key[2]:
+                part = L.normalize(part, partial(L.substitute, theta, {}))
+            self._parts[key] = part = part if self.kind == GOAL else L.negate(part)
+        return part
 
     def justification(self) -> str:
         """The step as text: command, (rows@paths), unifier, then other strings."""
@@ -369,8 +386,8 @@ class Tableau:
             raise NotUnifiableError(
                 f"{L.print_formula(occ1)} does not unify with {L.print_formula(occ2)}"
             )
-        sub2 = _renamed_then(fresh, theta)
-        part1 = L.normalize(row1.residue(path1, L.TRUE), partial(L.apply_subst, sub=theta))
+        sub2 = partial(L.substitute, theta, fresh)
+        part1 = row1.part(path1, L.TRUE, theta)
         part2 = L.normalize(row2.residue(path2, L.FALSE), sub2)
         step = ("resolve", rid1, path1, rid2, path2)
         return self._emit(step, theta, sub2, row1, part1, row2, part2, occ1)
@@ -405,8 +422,8 @@ class Tableau:
         theta = L.term_unify(L.rename_metavars(target, fresh), src, self.sig)
         if theta is None:
             raise NotUnifiableError("selected occurrence does not unify with the side")
-        sub2 = _renamed_then(fresh, theta)
-        part1 = L.normalize(row1.residue(path1, L.FALSE), partial(L.apply_subst, sub=theta))
+        sub2 = partial(L.substitute, theta, fresh)
+        part1 = row1.part(path1, L.FALSE, theta)
         # substituting commutes with replacing: dst, from row 1, takes only theta
         part2 = L.normalize(L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta)))
         rule = "eqrepl" if node_type is Eq else "iffrepl"
@@ -475,13 +492,12 @@ class Tableau:
     # -- helpers ---------------------------------------------------------
 
     def _emit(self, step, theta, sub2, row1, part1, row2, part2, occ1) -> Row:
-        """The row a pair rule makes of part1 of row 1 and part2 of row 2, both
-        normal and under theta, each negated in an assertion.  The parents'
+        """The row a pair rule makes of row 1's part1, from Row.part, and row 2's
+        part2, normal and under sub2, negated here in an assertion.  The parents'
         outputs, under theta (sub2 for row 2), join in a simplified conditional
         on theta(occ1): row 1's first for resolve, row 2's for a replacement."""
-        g1 = part1 if row1.kind == GOAL else L.negate(part1)
         g2 = part2 if row2.kind == GOAL else L.negate(part2)
-        combined = L.junction(And, (g1, g2))
+        combined = L.junction(And, (part1, g2))
         out1 = row1.output and L.apply_subst(row1.output, theta)
         outs = (out1, row2.output and sub2(row2.output))
         then, els = outs if step[0] == "resolve" else outs[::-1]
@@ -516,17 +532,6 @@ def _instantiate_params(f: Formula, sub: dict[str, MetaVar]) -> Formula:
     return L.map_node(
         f, lambda n: sub.get(n.fn) if isinstance(n, Apply) and not n.args else None
     )
-
-
-def _renamed_then(fresh: dict[str, str], theta: L.MetaSubst):
-    """A function taking a part of row 2 to that part renamed by fresh, then
-    substituted by theta, in one walk."""
-    def leaf(n: L.Node):
-        if type(n) is MetaVar:
-            return theta.get(fresh[n.name]) or MetaVar(fresh[n.name], n.sort)
-        return None
-
-    return lambda node: L.map_node(node, leaf)
 
 
 def equal_up_to_renaming(a: L.Node | tuple, b: L.Node | tuple) -> bool:

@@ -8,7 +8,8 @@ expression's variables, size and subexpressions by recursion instead of
 the attributes each node keeps, composition by rebuilding the whole
 binding map, the normal form of a formula and the simplified form of
 a program body by the earlier algorithms that re-walk what they build,
-and a search row's duplicate key and weight through logic.children.
+a search row's duplicate key and weight through logic.children, and
+syntactic unification that keeps its bindings resolved after each one.
 """
 
 from __future__ import annotations
@@ -327,3 +328,34 @@ def reference_canonical(item) -> tuple:
                 out += L.head(n)
                 out.append(len(L.children(n)))
     return tuple(out)
+
+
+def reference_term_unify(a, b, sig=None) -> Optional[L.MetaSubst]:
+    """logic.term_unify as it was before its bindings were triangular: each
+    binding's term is substituted by the bindings made so far, tested for
+    occurs through logic.metavars_of, and substituted into every earlier
+    binding, so the bindings are idempotent after each one."""
+    sig = sig or L.default_signature()
+    sub: L.MetaSubst = {}
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        x = sub.get(x.name, x) if type(x) is L.MetaVar else x
+        y = sub.get(y.name, y) if type(y) is L.MetaVar else y
+        if x is y or (type(x) is L.MetaVar and x == y):
+            continue
+        if type(x) is not L.MetaVar and type(y) is not L.MetaVar:
+            xk, yk = L.children(x), L.children(y)
+            if L.head(x) != L.head(y) or len(xk) != len(yk):
+                return None
+            pairs.extend(zip(reversed(xk), reversed(yk)))
+            continue
+        v, t = (x, y) if type(x) is L.MetaVar else (y, x)
+        if not isinstance(t, (L.MetaVar, L.Apply, L.Cond)):
+            return None
+        t = L.apply_subst(t, sub)
+        if v.sort != "?" and L.sort_of(t, sig) != v.sort or v in L.metavars_of(t):
+            return None
+        one = {v.name: t}
+        sub = {name: L.apply_subst(s, one) for name, s in sub.items()} | one
+    return sub

@@ -500,6 +500,8 @@ def test_deep_input_names_the_recursion_limit(capsys, tmp_path, monkeypatch, cas
         ('{"mgiu": 0.5}', "weight for mgiu must be an integer"),
         ('{"mgiu": "3"}', "weight for mgiu must be an integer"),
         ('{"mgiu": true}', "weight for mgiu must be an integer"),
+        # a misspelled symbol would weigh nothing
+        ('{"mgui": 3}', "weights name no symbol of the theory: mgui"),
     ],
 )
 def test_search_takes_only_positive_integer_weights(capsys, tmp_path, weights, message):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import pathlib
+import random
 import sys
 import types
 
@@ -14,7 +15,7 @@ from tabsynth.logic import MetaVar
 from tabsynth.tableau import ASSERTION, GOAL, NotUnifiableError, Row, Tableau
 from tabsynth.wf import Base
 
-from oracles import reference_key_and_weight
+from oracles import reference_key_and_weight, reference_normalize
 from test_tableau import _old_construction
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/tabsynth/data"
@@ -290,6 +291,9 @@ def test_malformed_script_command_is_named(unify_theory):
 # (_row_key, rule, parents, paths) of every row of the 300-row
 # full-theory search, as the search made them before it skipped any move
 FULL_300_DIGEST = "a901b1a4afeeb05e35c38aff19ce0c8629f97f2611706e75edde78debde9dbe9"
+# the printed rows (names and unifier text included) and the fresh-name
+# counter of the same search, byte for byte
+FULL_300_TEXT_DIGEST = "41171e222fb4e4c4870077c0929102022d18d36be02a931c96b38d339cddb20f"
 # the pair moves of the unify-same and the 300-row full-theory search that make a row
 COMPARED_SAME, COMPARED_300 = 36, 710
 
@@ -536,6 +540,14 @@ def _digest(tableau) -> str:
     return h.hexdigest()
 
 
+def _text_digest(tableau) -> str:
+    h = hashlib.sha256()
+    for r in tableau.rows:
+        h.update(Tableau.render_row(r).encode() + b"\n")
+    h.update(str(tableau._fresh).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize(
     "thy, spec, rows", [("unify_same.thy", "unify-same", 200), ("unify.thy", "unify", 300)]
 )
@@ -568,6 +580,7 @@ def test_full_theory_search_keeps_the_same_rows(monkeypatch):
     result, tableau, _, _ = _search_watched(monkeypatch, "unify.thy", "unify", 300)
     assert result is None and len(tableau.rows) == 300
     assert _digest(tableau) == FULL_300_DIGEST
+    assert _text_digest(tableau) == FULL_300_TEXT_DIGEST
 
 
 def test_search_pair_rule_calls(monkeypatch):
@@ -617,8 +630,11 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
     # a 250-row search on a freshly loaded theory (cold), which prepares its
     # lemma rows, and during a second one (warm), which reuses them;
     # 137,078 to 137,116, by the string hash seed, when each resolvent was
-    # substituted whole and its conjunction normalized, and 106,661 when
-    # every search built its own lemma rows and every move parsed its paths
+    # substituted whole and its conjunction normalized, 106,661 when every
+    # search built its own lemma rows and every move parsed its paths, and
+    # 76,825 and 71,581 when every move normalized row 1's residue anew,
+    # substitution went through map_node and unification resolved every
+    # binding as it made it
     theory = engine.load_theory((DATA / "unify.thy").read_text())
     package = str(pathlib.Path(engine.__file__).parent)
     counts = []
@@ -636,7 +652,7 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         finally:
             sys.setprofile(None)
         assert result is None
-    assert counts == [76_825, 71_581]
+    assert counts == [45_242, 40_213]
 
 
 @pytest.mark.parametrize(
@@ -645,8 +661,6 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         ("unify_same.thy", "unify-same", 200, {}, 46),
         ("unify_same.thy", "unify-same", 200, {"mgiu": 3, "=": 2, "idem": 2}, 46),
         ("unify.thy", "unify", 300, {}, 773),
-        # a connective's keyword names no symbol, so "and" weighs nothing
-        ("unify.thy", "unify", 300, {"and": 5}, 773),
     ],
 )
 def test_duplicate_keys_and_weights_match_the_walk_through_children(
@@ -671,6 +685,18 @@ def test_duplicate_keys_and_weights_match_the_walk_through_children(
     engine.search(theory, spec, engine.SearchConfig(max_rows=rows, weights=weights))
     assert len(checked) == keyed
     assert len({k for k, _ in pairs}) == len({k for _, k in pairs}) == len(pairs) < keyed
+
+
+@pytest.mark.parametrize(
+    "weights, unknown", [({"and": 5}, "and"), ({"mgui": 3, "mgiu": 2, "X": 1}, "mgui, X")]
+)
+def test_weights_name_symbols_of_the_theory(unify_theory, weights, unknown):
+    # a connective's keyword, a misspelled predicate and a metavar name no
+    # symbol, and would weigh nothing
+    config = engine.SearchConfig(max_rows=50, weights=weights)
+    message = f"^weights name no symbol of the theory: {unknown}$"
+    with pytest.raises(engine.EngineError, match=message):
+        engine.search(unify_theory, "unify", config)
 
 
 # -- the lemma rows a theory keeps ---------------------------------------------
@@ -714,6 +740,66 @@ def test_changed_lemmas_get_new_lemma_rows(monkeypatch):
     assert [r.step for r in after.rows[1:43]] == [("assert", n) for n in sorted(theory.lemmas)]
     assert _digest(after) == _digest(want) != _digest(before)
     assert after._fresh == want._fresh
+
+
+def _random_theta(rng, row, sig) -> dict:
+    """A meta-substitution binding some of row's metavars, and a name row lacks,
+    each to a metavar or a constant of its sort."""
+    sorts = {mv.name: mv.sort for mv in L.nodes(row.formula) if type(mv) is MetaVar}
+    constants = {}
+    for name, (args, result) in sig.functions.items():
+        if not args:
+            constants.setdefault(result, []).append(L.Apply(name))
+    theta = {}
+    for name, sort in [*sorted(sorts.items()), ("NOT-IN-ROW#0", "expr")]:
+        pick = rng.random()
+        if pick < 0.3 and constants.get(sort):
+            theta[name] = rng.choice(constants[sort])
+        elif pick < 0.6:
+            others = [n for n, s in sorted(sorts.items()) if s == sort and n != name]
+            theta[name] = MetaVar(rng.choice(others) if others else f"Q#{len(theta)}", sort)
+    return theta
+
+
+def test_a_row_part_is_its_residue_under_the_binding_in_goal_sense(monkeypatch, derivation):
+    # every row of the bundled replay and of a 300-row search, at each atom
+    # occurrence with either constant, under random bindings of its metavars
+    theory = engine.load_theory((DATA / "unify.thy").read_text())
+    replayed, _ = engine.replay(theory, "unify", derivation)
+    _, searched = _search_tableau(monkeypatch, theory, "unify", 300)
+    rng, parts = random.Random(23), 0
+    for tableau in (replayed, searched):
+        for row in tableau.rows:
+            for path, _ in L.atom_paths(row.formula):
+                text = ".".join(map(str, path)) or "-"
+                for constant in (L.TRUE, L.FALSE):
+                    theta = _random_theta(rng, row, tableau.sig)
+                    f = L.apply_subst(L.replace_at(row.formula, path, constant), theta)
+                    want = reference_normalize(f if row.kind == GOAL else L.Not(f))
+                    got = row.part(text, constant, theta)
+                    assert got == want, (row.rid, text)
+                    again = {**theta, "NOT-IN-ROW#0": MetaVar("Q#9", "subst")}
+                    assert row.part(text, constant, again) is got
+                    parts += 1
+    assert parts > 2000
+
+
+def test_a_search_starts_with_no_lemma_part_kept_under_an_earlier_binding(monkeypatch):
+    theory = engine.load_theory((DATA / "unify.thy").read_text())
+    _search_tableau(monkeypatch, theory, "unify", 200)
+    lemma_rows = theory._prepared[1]
+    assert any(key[2] for row in lemma_rows for key in row._parts)
+    apply, seen = engine.apply_step, []
+
+    def first_move_checked(tableau, step):
+        if not seen:
+            seen.append(step)
+            assert not [key for row in lemma_rows for key in row._parts if key[2]]
+        return apply(tableau, step)
+
+    monkeypatch.setattr(engine, "apply_step", first_move_checked)
+    engine.search(theory, "unify", engine.SearchConfig(max_rows=200))
+    assert seen and any(key[2] for row in lemma_rows for key in row._parts)
 
 
 def test_bad_paths_report_the_same_errors_when_rows_cache_their_paths(unify_theory):

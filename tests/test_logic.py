@@ -3,7 +3,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tabsynth import engine
 from tabsynth import logic as L
@@ -38,7 +38,7 @@ from tabsynth.logic import (
 )
 
 from ground import ground_signature
-from oracles import reference_canonical, reference_normalize
+from oracles import reference_canonical, reference_normalize, reference_term_unify
 
 
 def sig_with_params():
@@ -392,6 +392,48 @@ def test_term_unify_random_pairs():
         for image in theta.values():
             assert not ({mv.name for mv in metavars_of(image)} & set(theta))
     assert unified > 50
+
+
+# one sort per name, so that a name is one metavar; W is unsorted
+X, Y, Z, S, W = (MetaVar(n, s) for n, s in zip("XYZSW", ["expr"] * 3 + ["subst", "?"]))
+E1, TH0 = Apply("e1"), Apply("th0")
+_unify_terms = st.recursive(
+    st.sampled_from([X, Y, Z, S, W, E1, Apply("e2"), TH0]),
+    lambda terms: st.one_of(
+        st.builds(Apply, st.sampled_from(["cons", "apply", "compose"]), st.tuples(terms, terms)),
+        st.builds(Cond, st.builds(Atom, st.just("is-var"), st.tuples(terms)), terms, terms),
+    ),
+    max_leaves=8,
+)
+_unify_formulas = st.one_of(
+    st.builds(Eq, _unify_terms, _unify_terms),
+    st.builds(
+        Atom, st.sampled_from(["occurs-proper", "misses"]), st.tuples(_unify_terms, _unify_terms)
+    ),
+    st.builds(Not, st.builds(Atom, st.just("is-var"), st.tuples(_unify_terms))),
+    st.just(TRUE),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.one_of(st.tuples(_unify_terms, _unify_terms), st.tuples(_unify_formulas, _unify_formulas))
+)
+@example((X, Apply("cons", (X, E1))))  # occurs
+@example((Apply("cons", (X, Y)), Apply("cons", (Y, Apply("cons", (X, E1))))))  # occurs, through Y
+@example((X, TH0))  # sort clash
+@example((Apply("cons", (X, Y)), Apply("cons", (Y, E1))))  # shared metavars
+# W, unsorted, is bound first; X's sort is then read through W's binding
+@example((Apply("cons", (W, X)), Apply("cons", (TH0, Cond(Atom("is-var", (E1,)), W, E1)))))
+@example((Apply("cons", (W, X)), Apply("cons", (E1, Cond(Atom("is-var", (E1,)), W, TH0)))))
+def test_term_unify_is_the_eager_reference(pair):
+    # the triangular bindings resolve to the same dict, in the same order,
+    # as binding each term resolved and resolving every earlier binding
+    a, b = pair
+    sig = sig_with_params()
+    got, want = term_unify(a, b, sig), reference_term_unify(a, b, sig)
+    assert got == want
+    assert got is None or list(got.items()) == list(want.items())
 
 
 # -- identity up to renaming --------------------------------------------------
