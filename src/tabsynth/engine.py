@@ -340,7 +340,9 @@ class _KeptRows:
     """The atom occurrences of the search's kept rows, by rid, and an index of
     the active rows' occurrences and rewriting sides.  Only rows in the
     passive queue or the active list are entered, and truncate drops none.
-    A search starts from a copy of its theory's lemma index (_lemma_rows)."""
+    A search starts from a copy of its theory's lemma index (_lemma_rows).
+    Whether an occurrence is live is read from the row itself (Row.part), so
+    a rid that truncate gives to a new row brings no stale answer."""
 
     def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
@@ -381,14 +383,10 @@ class _KeptRows:
 
     def live(self, row: Row, path: str, constant: L.Formula) -> bool:
         """Whether row, with constant put at path, can be a side of a useful move:
-        not if its residue is false in a goal or true in an assertion, as a
-        meta-substitution only adds equal sides and never removes a constant.
-        The answer is a flag the row keeps from the first time it is asked."""
-        key = (path, type(constant))  # TRUE and FALSE hash alike
-        flag = row._live.get(key)
-        if flag is None:
-            flag = row._live[key] = not _vacuous(row.kind, row.residue(path, constant))
-        return flag
+        not if its part (Row.part) is false, that is its residue false in a goal
+        or true in an assertion, as a meta-substitution only adds equal sides
+        and never removes a constant.  The part is built once per row."""
+        return type(row.part(path, constant)) is not L.FalseF
 
 
 def _meeting(index: dict, atom: L.Node, shape: tuple):
@@ -414,11 +412,14 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
     index, sides = kept.index, kept.sides
     rid, live, moves = row.rid, kept.live, []  # moves: (sort key, move); "ltr" < "rtl"
     for i, path1, atom, shape1 in own:
+        met = None  # row's two answers at path1, read when a partner first meets it
         for k, j, path2 in _meeting(index, atom, shape1):
             other = active[k]
-            if live(row, path1, L.TRUE) and live(other, path2, L.FALSE):
+            if met is None:
+                met = live(row, path1, L.TRUE), live(row, path1, L.FALSE)
+            if met[0] and live(other, path2, L.FALSE):
                 moves.append(((k, 0, i, j, 0), ("resolve", rid, path1, other.rid, path2)))
-            if live(other, path2, L.TRUE) and live(row, path1, L.FALSE):
+            if met[1] and live(other, path2, L.TRUE):
                 moves.append(((k, 0, i, j, 1), ("resolve", other.rid, path2, rid, path1)))
         for k, way in _meeting(sides, atom, shape1):
             moves.append(((k, 1, i, way), ("iffrepl", active[k].rid, "-", rid, path1, way)))
@@ -465,8 +466,9 @@ def search(
     A resolve or iffrepl move whose outcome is known beforehand is never
     yielded, so nothing is renamed apart or unified for it: its two atoms,
     or the iff side and the target atom, differ in head or argument shape;
-    or one side is not live (_KeptRows.live), which makes every result
-    vacuous.  Only the counter of fresh names differs from trying them.
+    or one side is not live (_KeptRows.live: its part, the one formula a
+    row keeps per occurrence and constant, is false), which makes every
+    result vacuous.  Only the counter of fresh names differs from trying them.
     """
     symbols = {"=", *theory.signature.predicates, *theory.signature.functions}
     if unknown := [s for s in config.weights if s not in symbols]:

@@ -25,6 +25,7 @@ from .logic import (
     Implies,
     LTerm,
     MetaVar,
+    Not,
     Or,
     Signature,
     TrueF,
@@ -119,10 +120,8 @@ class Row:
     output: LTerm | None
     step: tuple  # the step that made the row, as engine.apply_step takes it
     theta: tuple | None = None  # the unifier the step applied, as sorted pairs
-    _residues: dict = field(default_factory=dict, compare=False, repr=False)
     _paths: dict = field(default_factory=dict, compare=False, repr=False)
     _parts: dict = field(default_factory=dict, compare=False, repr=False)
-    _live: dict = field(default_factory=dict, compare=False, repr=False)  # engine's flags
 
     @property
     def unifier(self) -> str:
@@ -149,27 +148,21 @@ class Row:
             self._paths[path] = (p := L.parse_path(path), L.get_at(self.formula, p))
         return self._paths[path]
 
-    def residue(self, path: str, constant: Formula) -> Formula:
-        """The formula with constant (true or false) at path, normalized, built once."""
-        key = (path, type(constant))  # TRUE and FALSE hash alike
-        if key not in self._residues:
-            f = L.replace_at(self.formula, self.at(path)[0], constant)
-            self._residues[key] = L.normalize(f)
-        return self._residues[key]
-
-    def part(self, path: str, constant: Formula, theta: L.MetaSubst) -> Formula:
-        """The residue at path under theta, normalized and in goal sense: negated
-        in an assertion.  It depends only on what theta binds of this row's
-        metavars, and is built once per such binding; with none bound, it is
-        the residue itself in goal sense, built once per row."""
-        names = self.metavar_names
-        key = (path, type(constant), tuple([b for b in theta.items() if b[0] in names]))
+    def part(self, path: str, constant: Formula, theta: L.MetaSubst | None = None) -> Formula:
+        """The formula with constant (true or false) at path, under theta,
+        normalized and in goal sense: negated in an assertion.  It depends only
+        on what theta binds of this row's metavars, and is built once per such
+        binding; with none bound, it is built once per row."""
+        bound = tuple([b for b in theta.items() if b[0] in self.metavar_names]) if theta else ()
+        key = (path, type(constant), bound)  # TRUE and FALSE hash alike
         part = self._parts.get(key)
         if part is None:
-            part = self.residue(path, constant)
-            if key[2]:
-                part = L.normalize(part, partial(L.substitute, theta, {}))
-            self._parts[key] = part = part if self.kind == GOAL else L.negate(part)
+            if bound:
+                part = L.normalize(self.part(path, constant), partial(L.substitute, theta, {}))
+            else:
+                f = L.replace_at(self.formula, self.at(path)[0], constant)
+                part = L.normalize(f if self.kind == GOAL else Not(f))
+            self._parts[key] = part
         return part
 
     def justification(self) -> str:
@@ -388,7 +381,7 @@ class Tableau:
             )
         sub2 = partial(L.substitute, theta, fresh)
         part1 = row1.part(path1, L.TRUE, theta)
-        part2 = L.normalize(row2.residue(path2, L.FALSE), sub2)
+        part2 = L.normalize(row2.part(path2, L.FALSE), sub2)
         step = ("resolve", rid1, path1, rid2, path2)
         return self._emit(step, theta, sub2, row1, part1, row2, part2, occ1)
 
@@ -425,7 +418,8 @@ class Tableau:
         sub2 = partial(L.substitute, theta, fresh)
         part1 = row1.part(path1, L.FALSE, theta)
         # substituting commutes with replacing: dst, from row 1, takes only theta
-        part2 = L.normalize(L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta)))
+        f2 = L.replace_at(sub2(row2.formula), p2, L.apply_subst(dst, theta))
+        part2 = L.normalize(f2 if row2.kind == GOAL else Not(f2))
         rule = "eqrepl" if node_type is Eq else "iffrepl"
         step = (rule, rid1, path1, rid2, path2, direction)
         return self._emit(step, theta, sub2, row1, part1, row2, part2, eqnode)
@@ -492,12 +486,12 @@ class Tableau:
     # -- helpers ---------------------------------------------------------
 
     def _emit(self, step, theta, sub2, row1, part1, row2, part2, occ1) -> Row:
-        """The row a pair rule makes of row 1's part1, from Row.part, and row 2's
-        part2, normal and under sub2, negated here in an assertion.  The parents'
-        outputs, under theta (sub2 for row 2), join in a simplified conditional
-        on theta(occ1): row 1's first for resolve, row 2's for a replacement."""
-        g2 = part2 if row2.kind == GOAL else L.negate(part2)
-        combined = L.junction(And, (part1, g2))
+        """The row a pair rule makes of its parents' parts, each normal and in
+        goal sense: row 1's part1 under theta, from Row.part, and row 2's part2
+        under sub2.  The parents' outputs, under theta (sub2 for row 2), join in
+        a simplified conditional on theta(occ1): row 1's first for resolve, row
+        2's for a replacement."""
+        combined = L.junction(And, (part1, part2))
         out1 = row1.output and L.apply_subst(row1.output, theta)
         outs = (out1, row2.output and sub2(row2.output))
         then, els = outs if step[0] == "resolve" else outs[::-1]

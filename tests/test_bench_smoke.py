@@ -4,6 +4,7 @@ benchmark run.
 
 For each workload BENCHMARK.json lists, the first three ops of seed 0 are
 run; `check` must accept each real output and reject its `corrupt` form.
+Every function the traced run (`bench/run.py --trace 1`) wraps must exist.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
+import probes  # noqa: E402
 import workloads  # noqa: E402
 
 LISTED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -28,3 +30,9 @@ def test_listed_workload_runs_and_checks(name):
         out = wl.run(ctx, inp)
         assert wl.check(ctx, inp, out)
         assert not wl.check(ctx, inp, wl.corrupt(ctx, inp, out))
+
+
+def test_every_traced_function_exists():
+    targets = probes.trace_targets()
+    missing = [f"{span}: {attr}" for span, owner, attr, _ in targets if not hasattr(owner, attr)]
+    assert targets and not missing

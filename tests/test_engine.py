@@ -615,12 +615,12 @@ def test_a_reused_rid_gets_its_own_live_and_residue_answers(unify_theory):
     tableau, kept = engine.make_tableau(unify_theory, "unify"), engine._KeptRows()
     sig = tableau.sig
     dropped = tableau.assume(L.parse_formula("(or (idem th0) (is-proper th0))", sig))
-    assert dropped.residue("1", L.TRUE) == L.TRUE
+    assert dropped.part("1", L.TRUE) == L.FALSE  # its residue, true, in goal sense
     assert not kept.live(dropped, "1", L.TRUE)
     tableau.truncate(dropped.rid - 1)
     row = tableau.assume(L.parse_formula("(and (idem th0) (is-proper th0))", sig))
     assert row.rid == dropped.rid
-    assert row.residue("1", L.TRUE) == L.parse_formula("(is-proper th0)", sig)
+    assert row.part("1", L.TRUE) == L.parse_formula("(not (is-proper th0))", sig)
     assert kept.live(row, "1", L.TRUE)
 
 
@@ -634,7 +634,9 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
     # search built its own lemma rows and every move parsed its paths, and
     # 76,825 and 71,581 when every move normalized row 1's residue anew,
     # substitution went through map_node and unification resolved every
-    # binding as it made it
+    # binding as it made it, and 45,242 and 40,213 when a row kept its
+    # residues and live flags apart from its parts and moves_for read the
+    # activated row's answers once per partner
     theory = engine.load_theory((DATA / "unify.thy").read_text())
     package = str(pathlib.Path(engine.__file__).parent)
     counts = []
@@ -652,7 +654,7 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         finally:
             sys.setprofile(None)
         assert result is None
-    assert counts == [45_242, 40_213]
+    assert counts == [43_499, 38_346]
 
 
 @pytest.mark.parametrize(
@@ -763,16 +765,21 @@ def _random_theta(rng, row, sig) -> dict:
 
 def test_a_row_part_is_its_residue_under_the_binding_in_goal_sense(monkeypatch, derivation):
     # every row of the bundled replay and of a 300-row search, at each atom
-    # occurrence with either constant, under random bindings of its metavars
+    # occurrence with either constant, under random bindings of its metavars;
+    # unbound, the part is the row's one memo and says whether the side is live
     theory = engine.load_theory((DATA / "unify.thy").read_text())
     replayed, _ = engine.replay(theory, "unify", derivation)
     _, searched = _search_tableau(monkeypatch, theory, "unify", 300)
-    rng, parts = random.Random(23), 0
+    rng, parts, kept = random.Random(23), 0, engine._KeptRows()
     for tableau in (replayed, searched):
         for row in tableau.rows:
             for path, _ in L.atom_paths(row.formula):
                 text = ".".join(map(str, path)) or "-"
                 for constant in (L.TRUE, L.FALSE):
+                    assert row.part(text, constant) is row.part(text, constant, {})
+                    residue = reference_normalize(L.replace_at(row.formula, path, constant))
+                    live = not engine._vacuous(row.kind, residue)
+                    assert kept.live(row, text, constant) == live, (row.rid, text)
                     theta = _random_theta(rng, row, tableau.sig)
                     f = L.apply_subst(L.replace_at(row.formula, path, constant), theta)
                     want = reference_normalize(f if row.kind == GOAL else L.Not(f))
