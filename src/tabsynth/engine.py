@@ -341,8 +341,9 @@ class _KeptRows:
     the active rows' occurrences and rewriting sides.  Only rows in the
     passive queue or the active list are entered, and truncate drops none.
     A search starts from a copy of its theory's lemma index (_lemma_rows).
-    Whether an occurrence is live is read from the row itself (Row.part), so
-    a rid that truncate gives to a new row brings no stale answer."""
+    Whether an occurrence is live is read from the row's memo (Row.part),
+    which holds only what depends on the row, so a rid that truncate gives to
+    a new row brings no stale answer, and searches can share a row."""
 
     def __init__(self):
         self._occurrences: dict[int, tuple[list, list]] = {}
@@ -412,14 +413,12 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
     index, sides = kept.index, kept.sides
     rid, live, moves = row.rid, kept.live, []  # moves: (sort key, move); "ltr" < "rtl"
     for i, path1, atom, shape1 in own:
-        met = None  # row's two answers at path1, read when a partner first meets it
+        true1, false1 = live(row, path1, L.TRUE), live(row, path1, L.FALSE)
         for k, j, path2 in _meeting(index, atom, shape1):
             other = active[k]
-            if met is None:
-                met = live(row, path1, L.TRUE), live(row, path1, L.FALSE)
-            if met[0] and live(other, path2, L.FALSE):
+            if true1 and live(other, path2, L.FALSE):
                 moves.append(((k, 0, i, j, 0), ("resolve", rid, path1, other.rid, path2)))
-            if met[1] and live(other, path2, L.TRUE):
+            if false1 and live(other, path2, L.TRUE):
                 moves.append(((k, 0, i, j, 1), ("resolve", other.rid, path2, rid, path1)))
         for k, way in _meeting(sides, atom, shape1):
             moves.append(((k, 1, i, way), ("iffrepl", active[k].rid, "-", rid, path1, way)))
@@ -431,9 +430,11 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
 
 def _lemma_rows(theory: Theory, tableau: Tableau, config: SearchConfig) -> tuple:
     """The theory's lemma rows, by name, put after tableau's goal, with their keys
-    and a _KeptRows of them: the search's own copies of what the first search
-    over the theory built, kept on it while the lemmas stay the same.  A lemma
-    row never waits in the passive queue, so its key needs no weights."""
+    and a _KeptRows of them, as the first search over the theory built them and
+    kept them on it while the lemmas stay the same.  The rows are shared, as a
+    row's memo holds only what depends on the row; the keys and the index are
+    the search's own copies.  A lemma row never waits in the passive queue, so
+    its key needs no weights."""
     lemmas = tuple(sorted(theory.lemmas.items()))
     if theory._prepared is None or theory._prepared[0] != lemmas:
         rows, kept = tuple(tableau.add_assertion(name=name) for name, _ in lemmas), _KeptRows()
@@ -443,9 +444,6 @@ def _lemma_rows(theory: Theory, tableau: Tableau, config: SearchConfig) -> tuple
         keys = frozenset(_key_and_weight(row, config)[0] for row in rows)
         theory._prepared = (lemmas, rows, keys, kept)
     _, rows, keys, kept = theory._prepared
-    for row in rows:  # parts under bindings last one search, or distinct ones pile up
-        for key in [key for key in row._parts if key[2]]:
-            del row._parts[key]
     tableau.rows[1:] = rows
     return list(rows), set(keys), kept.copy()
 
@@ -466,7 +464,7 @@ def search(
     A resolve or iffrepl move whose outcome is known beforehand is never
     yielded, so nothing is renamed apart or unified for it: its two atoms,
     or the iff side and the target atom, differ in head or argument shape;
-    or one side is not live (_KeptRows.live: its part, the one formula a
+    or one side is not live (_KeptRows.live: its unbound part, which the
     row keeps per occurrence and constant, is false), which makes every
     result vacuous.  Only the counter of fresh names differs from trying them.
     """

@@ -120,8 +120,8 @@ class Row:
     output: LTerm | None
     step: tuple  # the step that made the row, as engine.apply_step takes it
     theta: tuple | None = None  # the unifier the step applied, as sorted pairs
-    _paths: dict = field(default_factory=dict, compare=False, repr=False)
-    _parts: dict = field(default_factory=dict, compare=False, repr=False)
+    # path text -> (path, node); (path text, constant type) -> unbound part
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def unifier(self) -> str:
@@ -144,25 +144,24 @@ class Row:
 
     def at(self, path: str) -> tuple[tuple[int, ...], L.Node]:
         """The path text parsed, with the formula's node at that path, found once."""
-        if path not in self._paths:
-            self._paths[path] = (p := L.parse_path(path), L.get_at(self.formula, p))
-        return self._paths[path]
+        if path not in self._memo:
+            self._memo[path] = (p := L.parse_path(path), L.get_at(self.formula, p))
+        return self._memo[path]
 
     def part(self, path: str, constant: Formula, theta: L.MetaSubst | None = None) -> Formula:
-        """The formula with constant (true or false) at path, under theta,
-        normalized and in goal sense: negated in an assertion.  It depends only
-        on what theta binds of this row's metavars, and is built once per such
-        binding; with none bound, it is built once per row."""
-        bound = tuple([b for b in theta.items() if b[0] in self.metavar_names]) if theta else ()
-        key = (path, type(constant), bound)  # TRUE and FALSE hash alike
-        part = self._parts.get(key)
+        """The formula f with constant (true or false) at path, normalized and in
+        goal sense: normalize(f) in a goal, normalize(Not(f)) in an assertion,
+        built once per row.  If theta binds a metavar of the row, the part is
+        that unbound part normalized again under the theta-leaf, built anew: it
+        is logically equivalent to normalize(theta(f)), but its form can differ,
+        because logic.negate is not an involution on a normal implies."""
+        key = (path, type(constant))  # TRUE and FALSE hash alike
+        part = self._memo.get(key)
         if part is None:
-            if bound:
-                part = L.normalize(self.part(path, constant), partial(L.substitute, theta, {}))
-            else:
-                f = L.replace_at(self.formula, self.at(path)[0], constant)
-                part = L.normalize(f if self.kind == GOAL else Not(f))
-            self._parts[key] = part
+            f = L.replace_at(self.formula, self.at(path)[0], constant)
+            part = self._memo[key] = L.normalize(f if self.kind == GOAL else Not(f))
+        if theta and not self.metavar_names.isdisjoint(theta):
+            return L.normalize(part, partial(L.substitute, theta, {}))
         return part
 
     def justification(self) -> str:

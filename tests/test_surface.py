@@ -3,12 +3,17 @@
 Every public top-level function and class in src/tabsynth, and every public
 method of a public class, must be used in src/tabsynth or bench/ outside its
 own definition: as a name, as an attribute, or as a string naming it (bench/
-wraps functions by name).
+wraps functions by name).  No module reads another module's private
+attribute, and the settable options are counted.
 """
 
+import argparse
 import ast
+import dataclasses
 import pathlib
 from collections import Counter
+
+from tabsynth import cli, engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tabsynth"
@@ -54,3 +59,57 @@ def _public(body, prefix):
             if isinstance(node, ast.ClassDef):
                 methods = (n for n in node.body if isinstance(n, ast.FunctionDef))
                 yield from _public(methods, f"{prefix}.{node.name}")
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    """The names a module defines: by def or class, by assignment (a class
+    field included), or as self._name = ..."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    # x._name outside self and cls must name what this module defines, so a
+    # private attribute's layout is known to one module only
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = _defined(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and node.attr not in defined
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_the_settable_options_are_counted():
+    # the -- flags of every subcommand, --help aside, and the fields of
+    # SearchConfig: 22, as ROADMAP.md counts them; a new option is logged there
+    parser = cli._build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [
+        option
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+    fields = dataclasses.fields(engine.SearchConfig)
+    assert (len(flags), len(fields)) == (20, 2), "log a new option in ROADMAP.md's count"

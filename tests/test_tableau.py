@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from tabsynth.tableau import (
     NotSplittableError,
     NotUnifiableError,
     ProgramSpec,
+    Row,
     Tableau,
     UnknownLemmaError,
     UnknownRelationError,
@@ -21,6 +23,8 @@ from tabsynth.wf import U_REL
 
 import ground
 from ground import MODELS, allowed_outputs, ground_signature, output_set_leq
+from oracles import reference_normalize
+from test_logic import prop_truth
 
 
 def unify_sig():
@@ -742,3 +746,29 @@ def test_orphan_preserves_allowed_outputs():
         assert allowed_outputs(before, model) == allowed_outputs(
             before + [dropped], model
         )
+
+
+def test_a_bound_part_is_the_unbound_part_normalized_under_the_binding():
+    # Row.part under theta is normalize(unbound part, theta-leaf), not
+    # normalize(theta(f)): the two are equivalent, but their forms differ
+    # here, as negating a normal implies twice gives an or
+    sig = unify_sig()
+    inner = (
+        "(implies (implies (is-proper th0) (idem (compose th0 th0)))"
+        " (not (iff (idem X:subst) (idem Y:subst))))"
+    )
+    goal = Row(1, GOAL, parse_formula(f"(implies {inner} (idem th0))", sig), None, ("init",))
+    assertion = Row(2, ASSERTION, parse_formula(f"(or (idem th0) {inner})", sig), None, ("init",))
+    theta = {"Y": MetaVar("X", "subst")}
+    part = parse_formula("(implies (is-proper th0) (idem (compose th0 th0)))", sig)
+    want = parse_formula("(or (not (is-proper th0)) (idem (compose th0 th0)))", sig)
+    for row, path in ((goal, "2"), (assertion, "1")):
+        got = row.part(path, L.FALSE, theta)
+        f = L.apply_subst(L.replace_at(row.formula, L.parse_path(path), L.FALSE), theta)
+        assert got == part, row.kind
+        assert reference_normalize(f if row.kind == GOAL else Not(f)) == want
+    preds = ["is-proper", "idem"]  # one atom each, in part and in want
+    assert sorted(a.pred for a in L.nodes(want) if type(a) is Atom) == sorted(preds)
+    for bits in itertools.product([False, True], repeat=len(preds)):
+        assignment = dict(zip(preds, bits))
+        assert prop_truth(part, assignment) == prop_truth(want, assignment)
