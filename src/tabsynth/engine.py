@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import logic as L
-from . import program as P
+from .program import ProgramDef
 from .tableau import (
     ASSERTION,
     GOAL,
-    ProgramDef,
     ProgramSpec,
     Row,
     Tableau,
@@ -114,6 +113,8 @@ def _parse_spec(rest: str, sig: L.Signature) -> ProgramSpec:
         pname, _, psort = chunk.partition(":")
         if psort not in L.SORTS:
             raise EngineError(f"parameter {chunk!r} needs a sort annotation")
+        if any(pname == known for known, _ in params):
+            raise EngineError(f"parameter {pname!r} is declared twice")
         params.append((pname, psort))
         sig.add_constant(pname, psort)
     output = None
@@ -178,7 +179,7 @@ def replay(
         if trace:
             for row in made:
                 trace(row)
-    return tableau, replace(program, body=P.simplify(program.body))
+    return tableau, program
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +494,7 @@ def search(
             if any(r.is_final() for r in batch):
                 program = tableau.extract_program()
                 if program is not None:
-                    return tableau, replace(program, body=P.simplify(program.body))
+                    return tableau, program
             keep_any = False
             for r in batch:
                 key, weight = _key_and_weight(r, config)

@@ -1,11 +1,13 @@
-"""Extracted programs: compilation, simplification, and emission.
+"""Extracted programs: definition, compilation, simplification, and emission.
 
-`compile` turns a program into Python source: the lazy conditional
-becomes a conditional expression, primitives are called strictly from
-`logic.PRIMITIVES`, and a self-call is a plain recursive call.  `run`
-executes it; `interpret` first checks the sorts of runtime values.
-Self-calls consume fuel, and can be checked for strict decrease under
-the relation the program records.
+A `ProgramDef` is what a tableau's final row yields once
+`nonprimitive_symbol` finds only primitives in its body.  `compile` turns
+a program into Python source: the lazy conditional becomes a conditional
+expression, primitives are called strictly from `logic.PRIMITIVES`, and a
+self-call is a plain recursive call.  `run` executes it; `interpret`
+first checks the sorts of runtime values.  Self-calls consume fuel, and
+can be checked for strict decrease under the relation the program
+records.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import logic as L
@@ -20,7 +23,52 @@ from . import subst as S
 from . import term as T
 from . import wf
 from .logic import Apply, Atom, Cond, Eq, Formula, LTerm, MetaVar
-from .tableau import ProgramDef, nonprimitive_symbol
+
+
+@dataclass(frozen=True)
+class ProgramDef:
+    name: str
+    params: tuple[tuple[str, str], ...]
+    body: LTerm
+    decrease: wf.RelSpec | None = None  # the relation self-calls decrease under
+
+    @functools.cached_property
+    def compiled(self):
+        """This program's (unchecked, checked) Python functions; see compile."""
+        return compile(self)
+
+
+# symbols allowed in program bodies (beyond parameters and the program's own name)
+PRIMITIVE_FUNCTIONS = frozenset(
+    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is not None
+)
+PRIMITIVE_PREDICATES = frozenset(
+    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is None
+)
+
+
+def nonprimitive_symbol(
+    body: LTerm,
+    name: str,
+    params: set[str],
+    functions: frozenset[str] = PRIMITIVE_FUNCTIONS,
+    predicates: frozenset[str] = PRIMITIVE_PREDICATES,
+) -> str | None:
+    """The first symbol a program `name(params)` may not use in body, or None.
+
+    A body may use the given primitives, its parameters as constants,
+    calls to itself, and metavariables.
+    """
+    for node in L.nodes(body):
+        if isinstance(node, Apply) and not (
+            node.fn in functions
+            or node.fn == name
+            or (node.fn in params and not node.args)
+        ):
+            return node.fn
+        if isinstance(node, Atom) and node.pred not in predicates:
+            return node.pred
+    return None
 
 
 class ProgramError(Exception):
@@ -313,6 +361,8 @@ def parse_program(text: str) -> ProgramDef:
     ):
         raise ProgramError("expected (define (name params...) body)")
     name, *params = datum[1]
+    if twice := next((x for i, x in enumerate(params) if x in params[:i]), None):
+        raise ProgramError(f"parameter {twice} is declared twice")
     sig = L.default_signature()
     # environment-carrying programs: substitution first, expressions after
     sorts = ["subst", "expr", "expr"] if len(params) == 3 else ["expr"] * len(params)

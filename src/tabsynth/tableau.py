@@ -3,7 +3,7 @@
 A tableau holds assertion and goal rows, each with an optional output
 entry.  Rules add rows while preserving the allowable outputs; a final
 row (goal true, or assertion false, with an output) yields the
-synthesized program.
+synthesized program, a program.ProgramDef.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from . import logic as L
+from . import program as P
 from .logic import (
     And,
     Apply,
@@ -77,40 +78,6 @@ class StandardizeApartError(RuntimeError):
 ASSERTION = "assertion"
 GOAL = "goal"
 _ATOMIC = (Atom, Eq, TrueF, FalseF)  # what resolution may select
-
-# symbols allowed in extracted program bodies (beyond parameters and the
-# program's own name)
-PRIMITIVE_FUNCTIONS = frozenset(
-    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is not None
-)
-PRIMITIVE_PREDICATES = frozenset(
-    n for n, p in L.PRIMITIVES.items() if p.in_program and p.result is None
-)
-
-
-def nonprimitive_symbol(
-    body: LTerm,
-    name: str,
-    params: set[str],
-    functions: frozenset[str] = PRIMITIVE_FUNCTIONS,
-    predicates: frozenset[str] = PRIMITIVE_PREDICATES,
-) -> str | None:
-    """The first symbol a program `name(params)` may not use in body, or None.
-
-    A body may use the given primitives, its parameters as constants,
-    calls to itself, and metavariables.
-    """
-    for node in L.nodes(body):
-        if isinstance(node, Apply) and not (
-            node.fn in functions
-            or node.fn == name
-            or (node.fn in params and not node.args)
-        ):
-            return node.fn
-        if isinstance(node, Atom) and node.pred not in predicates:
-            return node.pred
-    return None
-
 
 @dataclass(frozen=True)
 class Row:
@@ -195,21 +162,6 @@ class ProgramSpec:
     condition: Formula
 
 
-@dataclass(frozen=True)
-class ProgramDef:
-    name: str
-    params: tuple[tuple[str, str], ...]
-    body: LTerm
-    decrease: RelSpec | None = None  # the relation self-calls decrease under
-
-    @cached_property
-    def compiled(self):
-        """This program's (unchecked, checked) Python functions; see program.compile."""
-        from .program import compile
-
-        return compile(self)
-
-
 class Tableau:
     """Single-owner mutable tableau; rows are immutable once created."""
 
@@ -220,8 +172,8 @@ class Tableau:
         lemmas: dict[str, Formula] | None = None,
         relations: dict[str, RelSpec] | None = None,
         strict: bool = True,
-        primitive_fns: frozenset[str] = PRIMITIVE_FUNCTIONS,
-        primitive_preds: frozenset[str] = PRIMITIVE_PREDICATES,
+        primitive_fns: frozenset[str] = P.PRIMITIVE_FUNCTIONS,
+        primitive_preds: frozenset[str] = P.PRIMITIVE_PREDICATES,
     ):
         self.spec = spec
         self.sig = sig or default_signature()
@@ -466,21 +418,17 @@ class Tableau:
 
     # -- extraction ------------------------------------------------------
 
-    def extract_program(self) -> ProgramDef | None:
-        """The program of the first final row with a primitive output."""
-        for row in self.rows:
-            if row.is_final() and self.is_primitive(row.output):
-                return ProgramDef(
-                    self.spec.name, self.spec.params, row.output, self.decrease
-                )
-        return None
-
-    def is_primitive(self, body: LTerm) -> bool:
+    def extract_program(self) -> P.ProgramDef | None:
+        """The program of the first final row with a primitive output, its body
+        simplified (program.simplify)."""
         params = {name for name, _ in self.spec.params}
-        bad = nonprimitive_symbol(
-            body, self.spec.name, params, self.primitive_fns, self.primitive_preds
-        )
-        return bad is None
+        for row in self.rows:
+            if row.is_final() and P.nonprimitive_symbol(
+                row.output, self.spec.name, params, self.primitive_fns, self.primitive_preds
+            ) is None:
+                body = P.simplify(row.output)
+                return P.ProgramDef(self.spec.name, self.spec.params, body, self.decrease)
+        return None
 
     # -- helpers ---------------------------------------------------------
 

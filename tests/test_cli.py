@@ -135,6 +135,19 @@ def test_run_rejects_wrong_arity(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, args, twice",
+    [("(define (f a a) a)", ["a", "a"], "a"), ("(define (f th e1 e1) th)", ["{}", "a", "a"], "e1")],
+)
+def test_run_names_a_repeated_parameter(capsys, tmp_path, text, args, twice):
+    # the compiler gives each parameter name one slot, so a repeated name once
+    # made a function of fewer arguments than the program takes: exit 3
+    prog_file = tmp_path / "prog.sexp"
+    prog_file.write_text(text + "\n")
+    assert main(["run", str(prog_file), *args]) == 2
+    assert capsys.readouterr().err == f"error: parameter {twice} is declared twice\n"
+
+
 def test_run_reports_fuel_exhaustion(capsys, tmp_path):
     prog_file = tmp_path / "prog.sexp"
     run_cli(capsys, "replay", "--emit", str(prog_file))
@@ -198,6 +211,7 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
         ("spec f (a) output Z:expr (= Z a)\n", [], "parameter 'a' needs a sort"),
         ("spec f (a:expr) output Z (= Z a)\n", [], "output 'Z' needs a sort"),
         (_SPEC_F, ["--spec", "g"], "unknown spec 'g'"),
+        ("spec f (a:expr a:expr) output Z:expr (= Z a)\n", [], "parameter 'a' is declared twice"),
         (_SPEC_F + _SPEC_F.replace("f", "g"), [], "--spec needed: theory declares"),
     ],
 )

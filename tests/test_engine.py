@@ -108,6 +108,20 @@ def test_bad_path_names_the_path_not_the_formula(unify_theory):
     assert str(err.value.cause) == "bad path 99: the node at - has 2 children"
 
 
+def test_replay_names_a_replacement_direction_that_is_neither(unify_theory):
+    with pytest.raises(engine.StepFailedError) as err:
+        engine.replay(unify_theory, "unify", "eqrepl 1 - 1 - sideways\nextract\n")
+    assert err.value.index == 1
+    assert str(err.value.cause) == "direction must be ltr or rtl, not 'sideways'"
+
+
+def test_apply_step_names_an_unknown_command(unify_theory):
+    tableau = engine.make_tableau(unify_theory, "unify")
+    with pytest.raises(engine.EngineError, match="^unknown command 'frobnicate'$"):
+        engine.apply_step(tableau, ("frobnicate",))
+    assert len(tableau.rows) == 1
+
+
 def test_replay_truncated_assume(unify_theory):
     with pytest.raises(engine.StepFailedError) as err:
         engine.replay(unify_theory, "unify", "assume (= (\nextract\n")
@@ -366,15 +380,16 @@ def _may_try(move, rows, live) -> bool:
 
 
 def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace:
-    """Run a search; return its result, its tableau, the steps it applied,
-    the rows it activated, the moves it skipped, the number of calls of
+    """Run a search over thy, a bundled theory's file name or a path; return
+    its result, its tableau, the steps it applied, the rows it activated and
+    the moves each yielded, the moves it skipped, the number of calls of
     each pair rule, the occurrence pairs the index meets and the shape
     comparisons it makes.  Check that each activation yields exactly the
     reference moves the old shape and live tests let it try, in their order.
     Given compare, check each pair move against _old_construction and
     count the rows compared."""
-    theory = engine.load_theory((DATA / thy).read_text())
-    watched = types.SimpleNamespace(steps=[], activated=[], skipped=[], compared=0)
+    theory = engine.load_theory((DATA / thy).read_text())  # an absolute thy stays as it is
+    watched = types.SimpleNamespace(steps=[], activated=[], yielded=[], skipped=[], compared=0)
     watched.calls = {"resolve": 0, "equivalence_replace": 0}
     watched.pairs = watched.comparisons = 0
     make, apply, moves_for = engine.make_tableau, engine.apply_step, engine.moves_for
@@ -415,6 +430,7 @@ def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace
         reference = list(_reference_moves(row, active))
         yielded = list(moves_for(row, active, kept))
         assert yielded == [m for m in reference if _may_try(m, rows, live)], row.rid
+        watched.yielded.append(yielded)
         tried = set(yielded)
         watched.skipped.extend(m for m in reference if m not in tried)
         yield from yielded
@@ -607,6 +623,33 @@ def test_every_pair_move_builds_the_row_the_old_construction_builds(
     # kind, formula, output, unifier text and counter match renaming row 2
     # whole and normalizing the conjunction of the substituted parts
     assert _watch(monkeypatch, thy, spec, rows, compare=True).compared == compared
+
+
+# the goal splits off the assertion (iff (is-var a) (is-const a)): an iff at
+# the root of an activated row, which no search over the bundled theories
+# activates; it rewrites the lemma's atoms and the goal's
+_IFF_THEORY = """
+lemma var-or-const (or (is-var E:expr) (is-const E:expr) (not (is-atom E:expr)))
+spec f (a:expr) output Z:expr (implies (iff (is-var a) (is-const a)) (= Z a))
+"""
+
+
+def test_an_activated_iff_row_rewrites_the_active_rows(monkeypatch, tmp_path):
+    thy = tmp_path / "iff.thy"
+    thy.write_text(_IFF_THEORY)
+    # _watch checks these moves, and their order, against the reference
+    watched = _watch(monkeypatch, thy, "f", 60, compare=True)
+    rewrites = [
+        move
+        for row, moves in zip(watched.activated, watched.yielded)
+        for move in moves
+        if move[0] == "iffrepl" and move[1] == row.rid
+    ]
+    assert watched.result is None and len(watched.tableau.rows) == 60
+    assert [(m[1], m[3], m[5]) for m in rewrites] == [
+        (3, 2, "ltr"), (3, 2, "rtl"), (3, 1, "ltr"), (3, 1, "rtl"),
+        (6, 2, "ltr"), (6, 2, "rtl"), (6, 1, "ltr"), (6, 1, "rtl"), (6, 3, "ltr"), (6, 3, "rtl"),
+    ]
 
 
 def test_a_reused_rid_gets_its_own_live_and_residue_answers(unify_theory):

@@ -170,6 +170,14 @@ def test_term_unify_occurs_check():
     assert term_unify(a, b, sig) is None
 
 
+def test_term_unify_binds_a_metavar_only_to_a_term_of_its_sort():
+    sig = sig_with_params()
+    subst_mv, expr_term = parse_term("TH:subst", sig), parse_term("(cons X:expr e1)", sig)
+    assert term_unify(subst_mv, expr_term, sig) is None
+    assert term_unify(expr_term, subst_mv, sig) is None
+    assert term_unify(subst_mv, parse_term("th0", sig), sig) == {"TH": Apply("th0")}
+
+
 def test_term_unify_self():
     f = parse_formula("(idem TH:subst)")
     assert term_unify(f, f) == {}

@@ -11,6 +11,7 @@ from tabsynth.program import (
     DecreaseViolationError,
     FuelExhaustedError,
     PrimitiveError,
+    ProgramDef,
     ProgramError,
     emit,
     eval_formula,
@@ -162,7 +163,6 @@ def test_parse_and_extract_agree_on_primitiveness():
     from tabsynth import engine
 
     theory = engine.load_theory(GOLDEN.with_name("unify.thy").read_text())
-    tableau = engine.make_tableau(theory, "unify")
     bodies = {
         "(if (is-var e1) (compose th0 (replace e1 e2)) (unify th0 e2 e1))": True,
         "(if (mgi th0 e1 e2 th0) th0 bot)": False,
@@ -170,18 +170,21 @@ def test_parse_and_extract_agree_on_primitiveness():
         "(if (size-lt e1 e2) th0 bot)": False,
     }
     for body, primitive in bodies.items():
-        assert tableau.is_primitive(L.parse_term(body, theory.signature)) == primitive
+        # a final row with body as its output: extraction takes it only if primitive
+        tableau = engine.make_tableau(theory, "unify")
+        output = L.parse_term(body, theory.signature)
+        tableau.add_assertion(formula=L.FALSE, output=output, assumption=True)
+        extracted = tableau.extract_program()
+        assert (extracted is not None) == primitive
         text = f"(define (unify th0 e1 e2) {body})"
         if primitive:
-            parse_program(text)
+            assert parse_program(text).body == extracted.body
         else:
             with pytest.raises(ProgramError, match="nonprimitive"):
                 parse_program(text)
 
 
 def test_primitive_error():
-    from tabsynth.tableau import ProgramDef
-
     bad = ProgramDef(
         "f", (("e1", "expr"),), Apply("left", (Apply("e1"),)), None
     )
@@ -199,8 +202,6 @@ def test_decrease_checks_on_interpreter(prog):
 
 def test_decrease_violation_surfaces():
     # a deliberately mis-derived program: recurse without shrinking
-    from tabsynth.tableau import ProgramDef
-
     sig = L.default_signature()
     for name, sort in (("th0", "subst"), ("e1", "expr"), ("e2", "expr")):
         sig.add_constant(name, sort)
@@ -311,8 +312,6 @@ def test_simplify_is_the_fixpoint_of_its_rules():
 def test_simplify_preserves_meaning(prog):
     rng = random.Random(21)
     slim = simplify(prog.body)
-    from tabsynth.tableau import ProgramDef
-
     slim_prog = ProgramDef(prog.name, prog.params, slim, prog.decrease)
     for _ in range(200):
         env = rand_idempotent_env(rng)
@@ -368,8 +367,6 @@ def test_emit_changes_only_where_simplify_fires(prog):
     # the bundled tree has no redundant tests: simplification is identity
     assert simplify(prog.body) == prog.body
     # a synthetic redundant conditional does change the emission
-    from tabsynth.tableau import ProgramDef
-
     sig = L.default_signature()
     sig.add_constant("th0", "subst")
     test = L.parse_formula("(is-proper th0)", sig)

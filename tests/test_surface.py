@@ -4,12 +4,14 @@ Every public top-level function and class in src/tabsynth, and every public
 method of a public class, must be used in src/tabsynth or bench/ outside its
 own definition: as a name, as an attribute, or as a string naming it (bench/
 wraps functions by name).  No module reads another module's private
-attribute, and the settable options are counted.
+attribute, the modules import one another without a cycle, and the settable
+options are counted.
 """
 
 import argparse
 import ast
 import dataclasses
+import graphlib
 import pathlib
 from collections import Counter
 
@@ -113,3 +115,30 @@ def test_the_settable_options_are_counted():
     ]
     fields = dataclasses.fields(engine.SearchConfig)
     assert (len(flags), len(fields)) == (20, 2), "log a new option in ROADMAP.md's count"
+
+
+def _package_imports(nodes) -> set[str]:
+    """The package modules that the relative imports among nodes name."""
+    found = set()
+    for n in nodes:
+        if isinstance(n, ast.ImportFrom) and n.level == 1:
+            found.update([n.module] if n.module else [a.name for a in n.names])
+    return found
+
+
+def test_the_package_imports_one_way():
+    # a module imports the package's modules at its top, and the graph they
+    # form has no cycle: program below tableau, tableau below engine.  The
+    # one import inside a function is unify's of the program that
+    # interprets the bundled golden text: program imports logic, which
+    # imports unify, so unify cannot import program at its top
+    graph, lazy = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = _package_imports(tree.body)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                lazy |= {(path.stem, fn.name, m) for m in _package_imports(ast.walk(fn))}
+    assert lazy == {("unify", "_golden", "program")}
+    assert "program" in graph["tableau"] and "tableau" in graph["engine"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -389,6 +389,20 @@ def test_equivalence_replace_expands_definition():
     assert out2.formula == parse_formula("(misses th0 e1)", tab.sig)
 
 
+def test_a_replacement_needs_an_occurrence_of_its_kind():
+    # an equation rewrites a term, an equivalence a formula
+    tab = fresh_tableau(strict=False)
+    eq = tab.assume(parse_formula("(= (apply e1 th0) e1)", tab.sig))
+    iff = tab.assume(parse_formula("(iff (misses TH:subst E:expr) (= (apply E TH) E))", tab.sig))
+    goal = goal_row(tab, parse_formula("(misses th0 e1)", tab.sig))
+    before = len(tab.rows)
+    with pytest.raises(L.BadPathError, match="^equality replacement needs a term occurrence$"):
+        tab.equality_replace(eq.rid, "-", goal.rid, "-", "ltr")
+    with pytest.raises(L.BadPathError, match="^equivalence replacement needs a formula occurrence$"):
+        tab.equivalence_replace(iff.rid, "-", goal.rid, "1", "ltr")
+    assert len(tab.rows) == before
+
+
 # -- splitting, duality, orphans ----------------------------------------------
 
 def test_split_initial_goal():
@@ -517,6 +531,13 @@ def test_extract_from_false_assertion():
     assert row.kind == ASSERTION and isinstance(row.formula, L.FalseF)
     prog = tab.extract_program()
     assert prog is not None and isinstance(prog.body, Cond)
+
+
+def test_extraction_yields_the_simplified_program():
+    tab = prop_tableau()
+    both = Cond(Atom("p"), Apply("c0"), Apply("c0"))
+    tab.add_assertion(formula=L.FALSE, output=both, assumption=True)
+    assert tab.extract_program().body == Apply("c0")
 
 
 # -- output discipline and permutations -------------------------------------------
