@@ -146,7 +146,9 @@ def _load_theory_and_spec(args) -> tuple[engine.Theory, str]:
     theory = engine.load_theory(_read(args.theory))
     spec = args.spec
     if spec is None:
-        if len(theory.specs) != 1:
+        if not theory.specs:
+            raise engine.EngineError("theory declares no spec")
+        if len(theory.specs) > 1:
             raise engine.EngineError("--spec needed: theory declares several specs")
         spec = next(iter(theory.specs))
     return theory, spec

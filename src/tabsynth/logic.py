@@ -88,7 +88,7 @@ PRIMITIVES: dict[str, Primitive] = {
     "tuple2": Primitive(
         ("expr", "expr"), "expr", lambda a, b: _term.encode_tuple([a, b])
     ),
-    "tuple3": Primitive(("subst", "expr", "expr"), "triple", _wf.InputTriple),
+    "tuple3": Primitive(("subst", "expr", "expr"), "triple", lambda *t: t),
     "is-atom": Primitive(("expr",), None, _term.is_atom, True),
     "is-const": Primitive(("expr",), None, _term.is_const, True),
     "is-var": Primitive(("expr",), None, _term.is_var, True),
@@ -516,16 +516,19 @@ def _assign(node: Node, env: dict[str, str]) -> Node:
     return map_node(node, sorted_metavar)
 
 
-def print_formula(node: Node) -> str:
-    """The text of a formula or a term; parse_formula and parse_term invert it."""
+def print_formula(node: Node, sorts: bool = False) -> str:
+    """The text of a formula or a term; parse_formula and parse_term invert it.
+
+    With sorts set, each metavar is written with its sort (`Z:expr`).
+    """
     typ = type(node)
     if typ is MetaVar:
-        return node.name
+        return f"{node.name}:{node.sort}" if sorts else node.name
     head = _label(node)
     kids = _SHAPES[typ][0](node)
     if not kids and typ is not Atom:
         return head
-    return "(" + " ".join([head, *map(print_formula, kids)]) + ")"
+    return "(" + " ".join([head, *map(print_formula, kids, repeat(sorts))]) + ")"
 
 
 def _label(node: Node) -> str:

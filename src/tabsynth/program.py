@@ -100,7 +100,7 @@ class FuelExhaustedError(RecursionError):
     """Recursion budget ran out: the fuel, or Python's recursion limit."""
 
 
-Value = object  # Expr | Subst | frozenset[str] | int | bool | InputTriple
+Value = object  # Expr | Subst | frozenset[str] | int | bool | tuple
 _SUBSTS, _EXPRS = (S.Proper, S.Failure), (T.Const, T.Var, T.Cons)
 
 
@@ -187,29 +187,28 @@ def compile(p: ProgramDef) -> tuple[Callable, Callable]:
 
     `unchecked(fuel, *args)` takes one item of the iterator fuel on entry
     to each call.  `checked(fuel, measure, less, calls, measured, parent,
-    *args)` also gets its parent's measure and arguments (None at the
-    top); on entry it measures its arguments once, lists the call, raises
+    *args)` also gets its parent's measure and argument tuple (None at the
+    top); on entry it packs its arguments as one tuple, whatever their
+    number, measures it once, lists the call, raises
     DecreaseViolationError unless below its parent, and takes its fuel.
     """
     gen = _Source([name for name, _ in p.params], p.name)
     body = gen.term(p.body)  # no name holds "(", so "_self(" opens only self-calls
     unchecked = gen.function("_body", "_fuel", "_next(_fuel)", body.replace("_self(", "_body(_fuel, "))
-    args = "".join(f"{v}, " for v in gen.variables.values())
-    # three arguments are packed as the wf.InputTriple a measure reads
-    entry = _CHECKED_ENTRY.format(("_triple" if len(p.params) == 3 else "") + f"({args})")
+    entry = _CHECKED_ENTRY.format("".join(f"{v}, " for v in gen.variables.values()))
     accounts = "_fuel, _measure, _less, _calls"
     checked_body = body.replace("_self(", f"_checked({accounts}, _m, _args, ")
     checked = gen.function("_checked", f"{accounts}, _measured, _parent", entry, checked_body)
     return unchecked, checked
 
 
-_CHECKED_ENTRY = """_args = {}
+_CHECKED_ENTRY = """_args = ({})
     _m = None if _measure is None else _measure(_args)
     if _parent is not None:  # a self-call, not the top call
         if _calls is not None:
             _calls.append((list(_parent), list(_args)))
         if _measure is not None and not _less(_m, _measured):
-            raise _violation(tuple(_parent), tuple(_args))
+            raise _violation(_parent, _args)
     _next(_fuel)"""
 
 
@@ -241,7 +240,7 @@ class _Source:
         self.variables = {name: f"_v{i}" for i, name in enumerate(variables)}
         self.namespace: dict[str, object] = {
             "_rel": _relation, "_rels": _RELATIONS, "_next": next,
-            "_triple": wf.InputTriple, "_violation": DecreaseViolationError,
+            "_violation": DecreaseViolationError,
         }
 
     def function(self, name: str, first: str, prologue: str, body: str) -> Callable:
@@ -328,7 +327,7 @@ def simplify(body: LTerm) -> LTerm:
 # text form
 
 def emit(p: ProgramDef) -> str:
-    """Canonical program text; parse_program inverts it."""
+    """Canonical program text, each metavar with its sort; parse_program inverts it."""
     params = " ".join(name for name, _ in p.params)
     body = _pp_term(p.body, indent=2)
     return f"(define ({p.name} {params})\n{body})\n"
@@ -338,11 +337,11 @@ def _pp_term(t: LTerm, indent: int) -> str:
     pad = " " * indent
     if isinstance(t, Cond):
         return (
-            f"{pad}(if {L.print_formula(t.test)}\n"
+            f"{pad}(if {L.print_formula(t.test, True)}\n"
             f"{_pp_term(t.then, indent + 4)}\n"
             f"{_pp_term(t.els, indent + 4)})"
         )
-    return pad + L.print_formula(t)
+    return pad + L.print_formula(t, True)
 
 
 def parse_program(text: str) -> ProgramDef:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .term import Expr, size_of, vars_of
 from .subst import Subst, range_of
@@ -23,12 +23,6 @@ from .subst import Subst, range_of
 
 class SortMismatchError(Exception):
     pass
-
-
-class InputTriple(NamedTuple):
-    env: Subst
-    e1: Expr
-    e2: Expr
 
 
 @dataclass(frozen=True)
@@ -85,8 +79,8 @@ _MEASURES = {
     "size-lt": size_of,
     "vars-strict-subset": vars_of,
     "subset-int-lex": _expr_pair,
-    "range-vars": lambda t: range_of(t.env) | vars_of(t.e1) | vars_of(t.e2),
-    "size-first": lambda t: size_of(t.e1),
+    "range-vars": lambda t: range_of(t[0]) | vars_of(t[1]) | vars_of(t[2]),
+    "size-first": lambda t: size_of(t[1]),
 }
 
 _PROJECTIONS = {
@@ -104,7 +98,7 @@ def rel_less(spec: RelSpec, a, b) -> bool:
     measure, less = order(spec)
     try:
         return less(measure(a), measure(b))
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, IndexError, TypeError) as exc:
         raise SortMismatchError(str(exc)) from exc
 
 
@@ -151,9 +145,10 @@ def _order(spec: RelSpec) -> tuple[Callable, Callable]:
 U_REL = Lex((Base("range-vars"), Base("size-first")))
 
 
-def u_measure(t: InputTriple) -> tuple[frozenset[str], int]:
-    """U_REL's measure of an input triple: range(env) | vars(e1, e2), size(e1)."""
-    return range_of(t.env) | t.e1.vars | t.e2.vars, t.e1.size
+def u_measure(t: tuple[Subst, Expr, Expr]) -> tuple[frozenset[str], int]:
+    """U_REL's measure of (env, e1, e2): range(env) | vars(e1, e2), size(e1)."""
+    env, e1, e2 = t
+    return range_of(env) | e1.vars | e2.vars, e1.size
 
 
 def u_less(m1: tuple[frozenset[str], int], m2: tuple[frozenset[str], int]) -> bool:

@@ -96,6 +96,47 @@ def test_replay_step_failure_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "script, theory, message",
+    [
+        ("frobnicate 1\nextract\n", [], "unknown command 'frobnicate'"),
+        ("extract\n", [], "no final row"),
+        # unify-same's parameters (subst, expr) have no tuple for u-rel to order
+        ("induct u-rel\nextract\n", ["--theory", "builtin:unify_same.thy"],
+         "no tuple encoding for parameter sorts ('subst', 'expr')"),
+    ],
+    ids=["unknown-command", "no-final-row", "no-tuple-encoding"],
+)
+def test_a_failed_script_step_exits_3_with_one_error_line(
+    capsys, tmp_path, script, theory, message
+):
+    path = tmp_path / "bad.derivation"
+    path.write_text(script)
+    assert main(["replay", str(path), *theory]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].endswith(message), err
+
+
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (None, ["a", "b", "c"], "argument th0 is not of sort subst"),
+        ("(define (f a) (left a))", ["(a . b)", "--check-decrease"],
+         "decrease checking expects (env, e1, e2) arguments"),
+    ],
+    ids=["sort", "check-decrease"],
+)
+def test_run_refuses_arguments_it_cannot_take(capsys, tmp_path, text, args, message):
+    prog_file = "builtin:unify_program.golden"
+    if text is not None:
+        prog_file = tmp_path / "prog.sexp"
+        prog_file.write_text(text + "\n")
+    assert main(["run", str(prog_file), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_run_truncated_program_exit_code(capsys, tmp_path):
     prog_file = tmp_path / "prog.sexp"
     prog_file.write_text("(define (f a b")
@@ -213,6 +254,19 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
         (_SPEC_F, ["--spec", "g"], "unknown spec 'g'"),
         ("spec f (a:expr a:expr) output Z:expr (= Z a)\n", [], "parameter 'a' is declared twice"),
         (_SPEC_F + _SPEC_F.replace("f", "g"), [], "--spec needed: theory declares"),
+        ("lemma refl (= X:expr X)\n", [], "theory declares no spec"),
+        (_SPEC_F + "lemma l ()\n", [], "expected a symbol after '('"),
+        (_SPEC_F + "lemma l (and)\n", [], "empty (and)"),
+        (_SPEC_F + "lemma l (not (idem TH:subst) (idem TH))\n", [], "not expects 1 arguments"),
+        (_SPEC_F + "lemma l (frob X:expr)\n", [], "unknown formula symbol 'frob'"),
+        (_SPEC_F + "lemma l (is-var X:foo)\n", [], "unknown sort annotation 'foo'"),
+        (_SPEC_F + "lemma l (and (idem X:subst) (is-var X))\n", [],
+         "metavar X used at sorts subst and expr"),
+        (_SPEC_F + "lemma l (is-var (vars X:expr))\n", [], "expected sort expr, got varset"),
+        (_SPEC_F + "wfrel r foo\n", [], "unknown relation 'foo'"),
+        (_SPEC_F + "wfrel r ()\n", [], "expected a relation constructor after '('"),
+        (_SPEC_F + "wfrel r (induced nope (size-lt))\n", [], "unknown projection 'nope'"),
+        (_SPEC_F + "wfrel r (reflexive)\n", [], "malformed relation (reflexive ...)"),
     ],
 )
 def test_bad_theory_or_spec_exits_with_one_error_line(

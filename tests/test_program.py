@@ -159,6 +159,30 @@ def test_reference_unify_makes_a_fixed_number_of_calls():
     assert count == 5751
 
 
+def test_checked_run_makes_a_fixed_number_of_calls(prog):
+    # the same count for the checked form with its decrease check: it packs
+    # each call's arguments as one plain tuple (7,695 when three arguments
+    # were packed as a NamedTuple); a per-call hook would raise it
+    triples = _triples(23, 200)
+    interpret(prog, triples[0], check_decrease=True)
+    package = str(pathlib.Path(unify.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            path = frame.f_code.co_filename
+            count += path == "<string>" or path.startswith(package)
+
+    sys.setprofile(profile)
+    try:
+        for args in triples:
+            interpret(prog, args, check_decrease=True)
+    finally:
+        sys.setprofile(None)
+    assert count == 7209
+
+
 def test_parse_and_extract_agree_on_primitiveness():
     from tabsynth import engine
 
@@ -325,6 +349,19 @@ def test_emit_round_trip(prog):
     assert parse_program(text) == prog
     # emission is stable across repeated runs
     assert emit(parse_program(text)) == text
+    # an extracted body may be a free metavariable, which nothing else in
+    # the text gives a sort: emission writes it
+    from tabsynth import engine
+
+    theory = engine.load_theory(
+        "lemma refl (= X:expr X)\nspec f (a:expr) output Z:expr (= a a)\n"
+    )
+    _, extracted = engine.search(theory, "f", engine.SearchConfig())
+    text = emit(extracted)
+    assert text == "(define (f a)\n  Z:expr)\n"
+    assert parse_program(text).body == extracted.body == L.MetaVar("Z", "expr")
+    with pytest.raises(ProgramError, match="unbound metavar Z"):
+        run(parse_program(text), [parse_expr("b")])
 
 
 def test_truncated_program_text():

@@ -8,7 +8,6 @@ from tabsynth.term import Const, Var, parse_expr, read_sexp, size_of, vars_of
 from tabsynth.wf import (
     Base,
     InducedBy,
-    InputTriple,
     Lex,
     ReflexiveClosure,
     SortMismatchError,
@@ -27,11 +26,11 @@ rngs = st.integers(0, 10**9).map(random.Random)
 
 
 def triple(env, e1, e2):
-    return InputTriple(parse_subst(env), parse_expr(e1), parse_expr(e2))
+    return parse_subst(env), parse_expr(e1), parse_expr(e2)
 
 
 def rand_triple(rng):
-    return InputTriple(rand_subst(rng), rand_expr(rng, 3), rand_expr(rng, 3))
+    return rand_subst(rng), rand_expr(rng, 3), rand_expr(rng, 3)
 
 
 def test_base_relations():
@@ -47,6 +46,9 @@ def test_base_relations():
 def test_sort_mismatch():
     with pytest.raises(SortMismatchError):
         rel_less(Base("range-vars"), Const("a"), Const("b"))
+    # a tuple too short for a triple measure is a sort mismatch, not an IndexError
+    with pytest.raises(SortMismatchError):
+        rel_less(Base("size-first"), (Const("a"),), (Const("b"),))
 
 
 def u_lt(t1, t2):
@@ -132,7 +134,7 @@ def test_weakly_decreasing_chains(rng):
         if rng.random() < 0.5:
             chain.append(prev)
         else:
-            smaller = InputTriple(prev.env, rand_expr(rng, 1), prev.e2)
+            smaller = (prev[0], rand_expr(rng, 1), prev[2])
             if u_lt(smaller, prev):
                 chain.append(smaller)
             else:
