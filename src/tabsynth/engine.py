@@ -125,6 +125,10 @@ def _parse_spec(rest: str, sig: L.Signature) -> ProgramSpec:
         output = L.MetaVar(oname, osort)
         sig.add_function(name, tuple(s for _, s in params), osort)
     condition = L.parse_formula(cond_text, sig)
+    if output is not None:  # the condition may not read the output at another sort
+        for mv in L.nodes(condition):
+            if type(mv) is L.MetaVar and mv.name == output.name and mv != output:
+                raise EngineError(f"output {out_text} is read as {mv.sort} in the condition")
     return ProgramSpec(name, tuple(params), output, condition)
 
 
@@ -328,6 +332,14 @@ def _vacuous(kind: str, f: L.Formula) -> bool:
     return isinstance(f, L.FalseF if kind == GOAL else L.TrueF)
 
 
+def _live(row: Row, path: str, constant: L.Formula) -> bool:
+    """Whether row, with constant put at path, can be a side of a useful move:
+    not if its part (Row.part) is false, that is its residue false in a goal
+    or true in an assertion, as a meta-substitution only adds equal sides
+    and never removes a constant.  The part is built once per row."""
+    return type(row.part(path, constant)) is not L.FalseF
+
+
 def _rewriting_sides(row: Row) -> tuple:
     """Each (direction, side) an iff assertion rewrites with; none for a goal,
     which put false at its root is vacuous."""
@@ -337,58 +349,44 @@ def _rewriting_sides(row: Row) -> tuple:
     return ()
 
 
-class _KeptRows:
-    """The atom occurrences of the search's kept rows, by rid, and an index of
-    the active rows' occurrences and rewriting sides.  Only rows in the
-    passive queue or the active list are entered, and truncate drops none.
-    A search starts from a copy of its theory's lemma index (_lemma_rows).
-    Whether an occurrence is live is read from the row's memo (Row.part),
-    which holds only what depends on the row, so a rid that truncate gives to
-    a new row brings no stale answer, and searches can share a row."""
+def _occurrences(row: Row) -> tuple[list, list]:
+    """The row's atom occurrences as (position, path text, atom, shape):
+    selected, that is of a precedence-maximal predicate, and all."""
+    occs = [
+        (j, ".".join(map(str, p)) or "-", a, _shape(a))
+        for j, (p, a) in enumerate(L.atom_paths(row.formula))
+    ]
+    ranks = [_RANK.get(getattr(occ[2], "pred", "="), -1) for occ in occs]
+    best = max(ranks, default=None)
+    return [occ for occ, rank in zip(occs, ranks) if rank == best], occs
+
+
+class _Index:
+    """The active rows' atom occurrences and rewriting sides, by head and
+    shape.  A search starts from a copy of its theory's lemma index
+    (_lemma_rows)."""
 
     def __init__(self):
-        self._occurrences: dict[int, tuple[list, list]] = {}
         # head -> shape -> (active position, occurrence position, path text)
         # or (active position, direction)
-        self.index: dict[tuple, dict[tuple, list]] = {}
+        self.atoms: dict[tuple, dict[tuple, list]] = {}
         self.sides: dict[tuple, dict[tuple, list]] = {}
 
-    def copy(self) -> _KeptRows:
-        """A _KeptRows with this one's index entries, in lists of its own."""
-        new = _KeptRows()
-        for old, index in ((self.index, new.index), (self.sides, new.sides)):
+    def copy(self) -> _Index:
+        """An _Index with this one's entries, in lists of its own."""
+        new = _Index()
+        for old, index in ((self.atoms, new.atoms), (self.sides, new.sides)):
             index.update((h, {s: list(e) for s, e in by.items()}) for h, by in old.items())
         return new
 
-    def occurrences(self, row: Row) -> tuple[list, list]:
-        """The row's atom occurrences as (position, path text, atom, shape):
-        selected, that is of a precedence-maximal predicate, and all."""
-        if row.rid not in self._occurrences:
-            occs = [
-                (j, ".".join(map(str, p)) or "-", a, _shape(a))
-                for j, (p, a) in enumerate(L.atom_paths(row.formula))
-            ]
-            ranks = [_RANK.get(getattr(occ[2], "pred", "="), -1) for occ in occs]
-            best = max(ranks, default=None)
-            own = [occ for occ, rank in zip(occs, ranks) if rank == best]
-            self._occurrences[row.rid] = (own, occs)
-        return self._occurrences[row.rid]
-
-    def activate(self, row: Row, k: int) -> None:
-        """Index row's occurrences and rewriting sides as active row k; rows
-        enter in active order, so each list is in active order."""
-        for j, path, atom, shape in self.occurrences(row)[1]:
-            self.index.setdefault(L.head(atom), {}).setdefault(shape, []).append((k, j, path))
+    def activate(self, row: Row, occurrences: list, k: int) -> None:
+        """Index row's occurrences (_occurrences: all) and rewriting sides as
+        active row k; rows enter in active order, so each list is in active order."""
+        for j, path, atom, shape in occurrences:
+            self.atoms.setdefault(L.head(atom), {}).setdefault(shape, []).append((k, j, path))
         for direction, side in _rewriting_sides(row):
             shapes = self.sides.setdefault(L.head(side), {})
             shapes.setdefault(_shape(side), []).append((k, direction))
-
-    def live(self, row: Row, path: str, constant: L.Formula) -> bool:
-        """Whether row, with constant put at path, can be a side of a useful move:
-        not if its part (Row.part) is false, that is its residue false in a goal
-        or true in an assertion, as a meta-substitution only adds equal sides
-        and never removes a constant.  The part is built once per row."""
-        return type(row.part(path, constant)) is not L.FalseF
 
 
 def _meeting(index: dict, atom: L.Node, shape: tuple):
@@ -399,23 +397,23 @@ def _meeting(index: dict, atom: L.Node, shape: tuple):
             yield from entries
 
 
-def moves_for(row: Row, active: list[Row], kept: _KeptRows):
+def moves_for(row: Row, own: list, active: list[Row], index: _Index):
     """The moves search applies when it activates row, in the order it applies them.
 
     The unary moves come first, then the pair moves with each active row
     in turn: resolve by (own, partner) occurrence, then iffrepl with the
     active row as the iff, then with row as the iff.  Literal selection
-    restricts the activated row, not its partner.  The index meets only
-    pairs whose heads and shapes meet; see search for what is not yielded."""
+    restricts the activated row to own (_occurrences), not its partner.  The
+    index meets only pairs whose heads and shapes meet; see search for what
+    is not yielded."""
     yield ("split", row.rid)
     if row.kind == ASSERTION:
         yield ("orphan", row.rid)
-    own, _ = kept.occurrences(row)
-    index, sides = kept.index, kept.sides
-    rid, live, moves = row.rid, kept.live, []  # moves: (sort key, move); "ltr" < "rtl"
+    atoms, sides = index.atoms, index.sides
+    rid, live, moves = row.rid, _live, []  # moves: (sort key, move); "ltr" < "rtl"
     for i, path1, atom, shape1 in own:
         true1, false1 = live(row, path1, L.TRUE), live(row, path1, L.FALSE)
-        for k, j, path2 in _meeting(index, atom, shape1):
+        for k, j, path2 in _meeting(atoms, atom, shape1):
             other = active[k]
             if true1 and live(other, path2, L.FALSE):
                 moves.append(((k, 0, i, j, 0), ("resolve", rid, path1, other.rid, path2)))
@@ -424,29 +422,28 @@ def moves_for(row: Row, active: list[Row], kept: _KeptRows):
         for k, way in _meeting(sides, atom, shape1):
             moves.append(((k, 1, i, way), ("iffrepl", active[k].rid, "-", rid, path1, way)))
     for way, side in _rewriting_sides(row):
-        for k, j, path2 in _meeting(index, side, _shape(side)):
+        for k, j, path2 in _meeting(atoms, side, _shape(side)):
             moves.append(((k, 2, j, way), ("iffrepl", rid, "-", active[k].rid, path2, way)))
     yield from (move for _, move in sorted(moves))
 
 
 def _lemma_rows(theory: Theory, tableau: Tableau, config: SearchConfig) -> tuple:
     """The theory's lemma rows, by name, put after tableau's goal, with their keys
-    and a _KeptRows of them, as the first search over the theory built them and
+    and an _Index of them, as the first search over the theory built them and
     kept them on it while the lemmas stay the same.  The rows are shared, as a
     row's memo holds only what depends on the row; the keys and the index are
     the search's own copies.  A lemma row never waits in the passive queue, so
     its key needs no weights."""
     lemmas = tuple(sorted(theory.lemmas.items()))
     if theory._prepared is None or theory._prepared[0] != lemmas:
-        rows, kept = tuple(tableau.add_assertion(name=name) for name, _ in lemmas), _KeptRows()
+        rows, index = tuple(tableau.add_assertion(name=name) for name, _ in lemmas), _Index()
         for k, row in enumerate(rows):
-            kept.activate(row, k)
-        kept._occurrences.clear()  # no search reads a lemma row's occurrences again
+            index.activate(row, _occurrences(row)[1], k)
         keys = frozenset(_key_and_weight(row, config)[0] for row in rows)
-        theory._prepared = (lemmas, rows, keys, kept)
-    _, rows, keys, kept = theory._prepared
+        theory._prepared = (lemmas, rows, keys, index)
+    _, rows, keys, index = theory._prepared
     tableau.rows[1:] = rows
-    return list(rows), set(keys), kept.copy()
+    return list(rows), set(keys), index.copy()
 
 
 def search(
@@ -455,17 +452,17 @@ def search(
     """Best-first proof search; returns the simplified program if found.
 
     Given-clause style: rows wait in a passive queue keyed by weighted
-    symbol count (ties by row id); activating a row applies every move
-    moves_for yields, pairing it with the already-active rows.  Vacuous
-    and duplicate results are discarded.  Set of support is structural,
-    not checked: the lemmas are active from the start and never activated,
-    so every activated row, and one side of every pair move, descends from
-    the initial goal.
+    symbol count (ties by row id); activating a row finds its occurrences
+    once, applies every move moves_for yields, pairing it with the active
+    rows, and indexes it.  Vacuous and duplicate results are discarded.
+    Set of support is structural, not checked: the lemmas are active from
+    the start and never activated, so every activated row, and one side of
+    every pair move, descends from the initial goal.
 
     A resolve or iffrepl move whose outcome is known beforehand is never
     yielded, so nothing is renamed apart or unified for it: its two atoms,
     or the iff side and the target atom, differ in head or argument shape;
-    or one side is not live (_KeptRows.live: its unbound part, which the
+    or one side is not live (_live: its unbound part, which the
     row keeps per occurrence and constant, is false), which makes every
     result vacuous.  Only the counter of fresh names differs from trying them.
     """
@@ -476,14 +473,15 @@ def search(
     goal = tableau.rows[0]
     # the theory's lemmas are usable from the start; only derived rows and
     # the initial goal wait in the passive queue, where no two share a rid
-    active, seen, kept = _lemma_rows(theory, tableau, config)
+    active, seen, index = _lemma_rows(theory, tableau, config)
     key, weight = _key_and_weight(goal, config)
     seen.add(key)
     passive = [(weight, goal.rid, goal)]
 
     while passive and len(tableau.rows) < config.max_rows:
         row = heapq.heappop(passive)[-1]
-        for move in moves_for(row, active, kept):
+        own, occurrences = _occurrences(row)
+        for move in moves_for(row, own, active, index):
             if len(tableau.rows) >= config.max_rows:
                 break
             before = len(tableau.rows)
@@ -504,6 +502,6 @@ def search(
                     heapq.heappush(passive, (weight, r.rid, r))
             if not keep_any:
                 tableau.truncate(before)
-        kept.activate(row, len(active))
+        index.activate(row, occurrences, len(active))
         active.append(row)
     return None

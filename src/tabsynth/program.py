@@ -134,7 +134,7 @@ def interpret(
         return run(p, args, fuel)
     if fuel < 0:
         raise ProgramError(f"fuel must be at least 0, not {fuel}")
-    fuel_left = itertools.repeat(None, fuel + 1)
+    fuel_left = itertools.repeat(None, min(fuel, _FUEL_CAP) + 1)
     return _run(p.name, p.compiled[1], fuel_left, measure, less, calls, None, None, *args)
 
 
@@ -143,7 +143,12 @@ def run(p: ProgramDef, args: Sequence[Value], fuel: int = 10000) -> Value:
     if fuel < 0:
         raise ProgramError(f"fuel must be at least 0, not {fuel}")
     # one fuel item per call, the top call's included: it is not a self-call
-    return _run(p.name, p.compiled[0], itertools.repeat(None, fuel + 1), *args)
+    return _run(p.name, p.compiled[0], itertools.repeat(None, min(fuel, _FUEL_CAP) + 1), *args)
+
+
+# the largest fuel an iterator can count; Python's recursion limit stops any
+# run long before it is used up, so a larger budget is cut to it
+_FUEL_CAP = sys.maxsize - 1
 
 
 def _run(name: str, fn: Callable, *args) -> Value:
@@ -327,8 +332,10 @@ def simplify(body: LTerm) -> LTerm:
 # text form
 
 def emit(p: ProgramDef) -> str:
-    """Canonical program text, each metavar with its sort; parse_program inverts it."""
-    params = " ".join(name for name, _ in p.params)
+    """Canonical program text, each metavar with its sort, and each parameter
+    whose sort _default_sorts does not give; parse_program inverts it."""
+    defaults = _default_sorts(len(p.params))
+    params = " ".join(n if s == d else f"{n}:{s}" for (n, s), d in zip(p.params, defaults))
     body = _pp_term(p.body, indent=2)
     return f"(define ({p.name} {params})\n{body})\n"
 
@@ -344,8 +351,15 @@ def _pp_term(t: LTerm, indent: int) -> str:
     return pad + L.print_formula(t, True)
 
 
+def _default_sorts(n: int) -> list[str]:
+    """The sorts of n parameters written without one: an environment-carrying
+    program takes a substitution first, expressions after."""
+    return ["subst", "expr", "expr"] if n == 3 else ["expr"] * n
+
+
 def parse_program(text: str) -> ProgramDef:
-    """Parse `(define (name params...) body)`; params get default sorts."""
+    """Parse `(define (name params...) body)`; a param is `name` or `name:sort`,
+    and one without a sort gets its _default_sorts sort."""
     try:
         datum = T.read_sexp(text)
     except T.ExprSyntaxError as exc:
@@ -359,18 +373,20 @@ def parse_program(text: str) -> ProgramDef:
         and all(isinstance(x, str) for x in datum[1])
     ):
         raise ProgramError("expected (define (name params...) body)")
-    name, *params = datum[1]
-    if twice := next((x for i, x in enumerate(params) if x in params[:i]), None):
-        raise ProgramError(f"parameter {twice} is declared twice")
-    sig = L.default_signature()
-    # environment-carrying programs: substitution first, expressions after
-    sorts = ["subst", "expr", "expr"] if len(params) == 3 else ["expr"] * len(params)
-    for pname, sort in zip(params, sorts):
-        sig.add_constant(pname, sort)
-    sig.add_function(name, tuple(sorts), sorts[0])
+    name, *chunks = datum[1]
+    sig, params = L.default_signature(), []
+    for chunk, default in zip(chunks, _default_sorts(len(chunks))):
+        pname, colon, sort = chunk.partition(":")
+        if not pname or colon and sort not in L.SORTS:
+            raise ProgramError(f"parameter {chunk!r} is not name or name:sort of a known sort")
+        if any(pname == known for known, _ in params):
+            raise ProgramError(f"parameter {pname} is declared twice")
+        params.append((pname, sort or default))
+        sig.add_constant(pname, sort or default)
+    sorts = tuple(sort for _, sort in params)
+    sig.add_function(name, sorts, sorts[0])
     body = L.build_term(datum[2], sig)
-    bad = nonprimitive_symbol(body, name, set(params))
+    bad = nonprimitive_symbol(body, name, {pname for pname, _ in params})
     if bad is not None:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")
-    return ProgramDef(name, tuple(zip(params, sorts)), body, wf.U_REL)
-
+    return ProgramDef(name, tuple(params), body, wf.U_REL)

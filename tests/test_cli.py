@@ -99,20 +99,26 @@ def test_replay_step_failure_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize(
     "script, theory, message",
     [
-        ("frobnicate 1\nextract\n", [], "unknown command 'frobnicate'"),
-        ("extract\n", [], "no final row"),
+        ("frobnicate 1\nextract\n", None, "unknown command 'frobnicate'"),
+        ("extract\n", None, "no final row"),
         # unify-same's parameters (subst, expr) have no tuple for u-rel to order
-        ("induct u-rel\nextract\n", ["--theory", "builtin:unify_same.thy"],
+        ("induct u-rel\nextract\n", "builtin:unify_same.thy",
          "no tuple encoding for parameter sorts ('subst', 'expr')"),
+        ("induct r\nextract\n", "spec f (a:expr) output none (= a a)\nwfrel r (size-lt)\n",
+         "induction needs an output to recurse on"),
     ],
-    ids=["unknown-command", "no-final-row", "no-tuple-encoding"],
+    ids=["unknown-command", "no-final-row", "no-tuple-encoding", "no-output"],
 )
 def test_a_failed_script_step_exits_3_with_one_error_line(
     capsys, tmp_path, script, theory, message
 ):
+    # theory is the bundled default (None), a bundled file, or a theory's text
     path = tmp_path / "bad.derivation"
     path.write_text(script)
-    assert main(["replay", str(path), *theory]) == 3
+    if theory is not None and not theory.startswith("builtin:"):
+        (tmp_path / "t.thy").write_text(theory)
+        theory = str(tmp_path / "t.thy")
+    assert main(["replay", str(path), *(["--theory", theory] if theory else [])]) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].endswith(message), err
@@ -258,6 +264,13 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
         (_SPEC_F + "lemma l ()\n", [], "expected a symbol after '('"),
         (_SPEC_F + "lemma l (and)\n", [], "empty (and)"),
         (_SPEC_F + "lemma l (not (idem TH:subst) (idem TH))\n", [], "not expects 1 arguments"),
+        (_SPEC_F + "lemma l (idem TH:subst TH)\n", [], "idem expects 1 arguments"),
+        (_SPEC_F + "lemma l (is-var (and (idem X:subst)))\n", [],
+         "(and ...) where a term is expected"),
+        (_SPEC_F + "lemma l (if (idem X:subst) X X)\n", [],
+         "(if ...) where a formula is expected"),
+        (_SPEC_F + "lemma l foo\n", [], "unexpected token 'foo' in formula"),
+        (_SPEC_F + "lemma l (is-var x)\n", [], "unknown symbol 'x'"),
         (_SPEC_F + "lemma l (frob X:expr)\n", [], "unknown formula symbol 'frob'"),
         (_SPEC_F + "lemma l (is-var X:foo)\n", [], "unknown sort annotation 'foo'"),
         (_SPEC_F + "lemma l (and (idem X:subst) (is-var X))\n", [],
@@ -267,6 +280,15 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
         (_SPEC_F + "wfrel r ()\n", [], "expected a relation constructor after '('"),
         (_SPEC_F + "wfrel r (induced nope (size-lt))\n", [], "unknown projection 'nope'"),
         (_SPEC_F + "wfrel r (reflexive)\n", [], "malformed relation (reflexive ...)"),
+        # a name a primitive already has
+        (_SPEC_F.replace("f", "apply"), [], "conflicting declarations for function apply"),
+        ("spec f (bot:expr) output Z:expr (= Z bot)\n", [],
+         "conflicting declarations for function bot"),
+        (_SPEC_F + "wfrel left (size-lt)\n", [], "conflicting declarations for function left"),
+        # the condition once read Z as an expr, and search found a program
+        # declared to return a subst that returns an expr
+        ("lemma refl (= X:expr X)\nspec f (a:expr) output Z:subst (= Z a)\n", [],
+         "output Z:subst is read as expr in the condition"),
     ],
 )
 def test_bad_theory_or_spec_exits_with_one_error_line(
@@ -592,8 +614,13 @@ _TRIPLE = ("{}", "(X . b)", "(a . Y)")
          "fuel must be at least 0, not -1"),
         (["run", "builtin:unify_program.golden", *_TRIPLE, "--fuel", "-1",
           "--check-decrease"], "fuel must be at least 0, not -1"),
+        # so is an environment that mgiu_check cannot take
+        (["check-mgiu", "X", "Y", "{X -> Y}", "--env", "{X -> Y, Y -> X}"],
+         "mgiu_check requires a proper idempotent environment"),
+        (["check-mgiu", "X", "Y", "{X -> Y}", "--env", "bot"],
+         "mgiu_check requires a proper idempotent environment"),
     ],
-    ids=["search", "unify", "run", "run-checked"],
+    ids=["search", "unify", "run", "run-checked", "check-mgiu-looping-env", "check-mgiu-bot-env"],
 )
 def test_a_negative_budget_is_a_usage_error(capsys, argv, message):
     assert main(argv) == 2
@@ -606,12 +633,22 @@ def test_a_zero_budget_runs(capsys):
     assert run_cli(capsys, "search", "--max-rows", "0") == (
         1, "no derivation found within the row limit\n"
     )
-    assert run_cli(capsys, "unify", "--fuel", "0", "X", "a") == (0, "{X -> a}\n")
+    # and a fuel past sys.maxsize, which once overflowed the fuel iterator: exit 3
     golden = "builtin:unify_program.golden"
-    for flags in ((), ("--check-decrease",)):
-        assert run_cli(capsys, "run", golden, "{}", "X", "a", "--fuel", "0", *flags) == (
-            0, "{X -> a}\n"
-        )
+    for fuel in ("0", str(sys.maxsize * 10**3)):
+        assert run_cli(capsys, "unify", "--fuel", fuel, "X", "a") == (0, "{X -> a}\n")
+        for flags in ((), ("--check-decrease",)):
+            assert run_cli(capsys, "run", golden, "{}", "X", "a", "--fuel", fuel, *flags) == (
+                0, "{X -> a}\n"
+            )
+
+
+def test_a_searched_program_runs(capsys, tmp_path):
+    # the emitted unify-same takes (subst, expr), which two parameters do not
+    # get by default, so the file says so; run once read th0 as an expr: exit 2
+    emitted = tmp_path / "same.prog"
+    assert run_cli(capsys, "search", "--emit", str(emitted))[0] == 0
+    assert run_cli(capsys, "run", str(emitted), "{}", "X") == (0, "{}\n")
 
 
 @pytest.mark.parametrize(

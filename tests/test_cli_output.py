@@ -8,7 +8,7 @@ import pytest
 from tabsynth.cli import main
 
 GOLDEN = resources.files("tabsynth.data").joinpath("unify_program.golden").read_text()
-SAME = "(define (unify-same th0 e1)\n  th0)\n"
+SAME = "(define (unify-same th0:subst e1)\n  th0)\n"
 
 _PASSES = ["check-mgiu", "--env", "{X -> Y}", "Y", "Z", "{X -> Z, Y -> Z}"]
 _FAILS = ["check-mgiu", "--env", "{X -> Y}", "Y", "Z", "{Y -> Z}"]

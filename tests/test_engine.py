@@ -415,7 +415,7 @@ def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace
         watched.compared += 1
         return made
 
-    def moves_and_skipped(row, active, kept):
+    def moves_and_skipped(row, own, active, index):
         watched.activated.append(row)
         rows = {r.rid: r for r in [*active, row]}
 
@@ -428,7 +428,7 @@ def _watch(monkeypatch, thy, spec, rows, compare=False) -> types.SimpleNamespace
             return known[rid, path, constant]
 
         reference = list(_reference_moves(row, active))
-        yielded = list(moves_for(row, active, kept))
+        yielded = list(moves_for(row, own, active, index))
         assert yielded == [m for m in reference if _may_try(m, rows, live)], row.rid
         watched.yielded.append(yielded)
         tried = set(yielded)
@@ -489,7 +489,7 @@ def _in_move_space(tableau, step) -> bool:
     a non-lemma target whose atom is selected."""
     def selected(rid, path):
         row = tableau.row(rid)
-        own, _ = engine._KeptRows().occurrences(row)
+        own, _ = engine._occurrences(row)
         return row.step[0] != "assert" and any(occ[1] == path for occ in own)
 
     def lemma(rid):
@@ -655,16 +655,16 @@ def test_an_activated_iff_row_rewrites_the_active_rows(monkeypatch, tmp_path):
 def test_a_reused_rid_gets_its_own_live_and_residue_answers(unify_theory):
     # truncate gives a dropped row's rid to the next row made; what the
     # search reads about a row is kept on the row, not under its rid
-    tableau, kept = engine.make_tableau(unify_theory, "unify"), engine._KeptRows()
+    tableau = engine.make_tableau(unify_theory, "unify")
     sig = tableau.sig
     dropped = tableau.assume(L.parse_formula("(or (idem th0) (is-proper th0))", sig))
     assert dropped.part("1", L.TRUE) == L.FALSE  # its residue, true, in goal sense
-    assert not kept.live(dropped, "1", L.TRUE)
+    assert not engine._live(dropped, "1", L.TRUE)
     tableau.truncate(dropped.rid - 1)
     row = tableau.assume(L.parse_formula("(and (idem th0) (is-proper th0))", sig))
     assert row.rid == dropped.rid
     assert row.part("1", L.TRUE) == L.parse_formula("(not (is-proper th0))", sig)
-    assert kept.live(row, "1", L.TRUE)
+    assert engine._live(row, "1", L.TRUE)
 
 
 def test_full_theory_search_makes_a_fixed_number_of_calls():
@@ -679,8 +679,10 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
     # substitution went through map_node and unification resolved every
     # binding as it made it, 45,242 and 40,213 when a row kept its
     # residues and live flags apart from its parts and moves_for read the
-    # activated row's answers once per partner, and 43,499 and 38,346 when a
-    # row also kept its parts per binding of its metavars within a search
+    # activated row's answers once per partner, 43,499 and 38,346 when a
+    # row also kept its parts per binding of its metavars within a search,
+    # and 45,914 and 40,406 when the index memoized each row's occurrences
+    # by rid and an activation looked them up twice
     theory = engine.load_theory((DATA / "unify.thy").read_text())
     package = str(pathlib.Path(engine.__file__).parent)
     counts = []
@@ -698,7 +700,7 @@ def test_full_theory_search_makes_a_fixed_number_of_calls():
         finally:
             sys.setprofile(None)
         assert result is None
-    assert counts == [45_914, 40_406]
+    assert counts == [45_875, 40_367]
 
 
 @pytest.mark.parametrize(
@@ -829,7 +831,7 @@ def test_a_row_part_is_its_residue_under_the_binding_in_goal_sense(monkeypatch, 
     theory = engine.load_theory((DATA / "unify.thy").read_text())
     replayed, _ = engine.replay(theory, "unify", derivation)
     _, searched = _search_tableau(monkeypatch, theory, "unify", 300)
-    rng, parts, kept = random.Random(23), 0, engine._KeptRows()
+    rng, parts = random.Random(23), 0
     for tableau in (replayed, searched):
         for row in tableau.rows:
             for path, _ in L.atom_paths(row.formula):
@@ -838,7 +840,7 @@ def test_a_row_part_is_its_residue_under_the_binding_in_goal_sense(monkeypatch, 
                     assert row.part(text, constant) is row.part(text, constant, {})
                     residue = reference_normalize(L.replace_at(row.formula, path, constant))
                     live = not engine._vacuous(row.kind, residue)
-                    assert kept.live(row, text, constant) == live, (row.rid, text)
+                    assert engine._live(row, text, constant) == live, (row.rid, text)
                     theta = _random_theta(rng, row, tableau.sig)
                     f = L.apply_subst(L.replace_at(row.formula, path, constant), theta)
                     want = reference_normalize(f if row.kind == GOAL else L.Not(f))

@@ -364,6 +364,33 @@ def test_emit_round_trip(prog):
         run(parse_program(text), [parse_expr("b")])
 
 
+@pytest.mark.parametrize(
+    "sorts, header",
+    [
+        (("subst", "expr", "expr"), "(f p0 p1 p2)"),
+        (("expr", "expr"), "(f p0 p1)"),
+        (("subst", "expr"), "(f p0:subst p1)"),
+        (("subst",), "(f p0:subst)"),
+        (("expr", "subst", "subst"), "(f p0:expr p1:subst p2:subst)"),
+        (("subst", "expr", "expr", "varset"), "(f p0:subst p1 p2 p3:varset)"),
+    ],
+)
+def test_emit_writes_each_sort_the_parameter_count_does_not_give(sorts, header):
+    # parse_program once gave every parameter its default sort, so an
+    # emitted (subst, expr) program took its substitution for an expression
+    params = tuple((f"p{i}", sort) for i, sort in enumerate(sorts))
+    p = ProgramDef("f", params, Apply("p0"), U_REL)
+    text = emit(p)
+    assert text == f"(define {header}\n  p0)\n"
+    assert parse_program(text) == p
+
+
+@pytest.mark.parametrize("chunk", ["a:foo", "a:", ":expr", "a:expr:expr"])
+def test_a_parameter_of_no_known_sort_is_refused(chunk):
+    with pytest.raises(ProgramError, match="is not name or name:sort"):
+        parse_program(f"(define (f {chunk}) a)")
+
+
 def test_truncated_program_text():
     for text in ("(define", "(define (f a b", "(define (f a b) (cons a", "(define (f) a)"):
         with pytest.raises(ProgramError):
@@ -415,4 +442,4 @@ def test_emit_changes_only_where_simplify_fires(prog):
     )
     slim = ProgramDef("pick", redundant.params, simplify(redundant.body), None)
     assert emit(slim) != emit(redundant)
-    assert emit(slim) == "(define (pick th0)\n  th0)\n"
+    assert emit(slim) == "(define (pick th0:subst)\n  th0)\n"
