@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import logic as L
 from .program import ProgramDef
@@ -26,7 +27,7 @@ from .tableau import (
     TableauError,
     equal_up_to_renaming,
 )
-from .term import ExprError, read_sexp
+from .term import ExprError, ExprSyntaxError, brief, read_sexp
 from .wf import RelSpec, parse_relspec
 
 
@@ -56,80 +57,57 @@ class Theory:
 
 
 def load_theory(text: str) -> Theory:
-    """Parse a theory file: lemma, wfrel and spec declarations."""
+    """Parse a theory file, read as data: an entry is its keyword and a fixed
+    number of data, wherever its lines break: lemma NAME FORMULA, wfrel NAME
+    RELATION, or spec NAME (PARAM:SORT ...) output OUT CONDITION."""
+    lines = [_COMMENT.sub(lambda m: " " * len(m[0]), line) for line in text.splitlines()]
+    try:  # comments are blanked, so a position is one in text
+        data = iter(read_sexp("\n".join(lines), many=True))
+    except ExprSyntaxError as exc:
+        raise EngineError(f"theory text: {exc}") from exc
     theory = Theory()
-    for entry in _entries(text):
-        kind, *fields = entry.split(None, 2)
-        if kind in ("lemma", "wfrel") and len(fields) != 2:
-            raise EngineError(f"malformed theory entry {entry!r}")
+    for kind in data:
+        if not isinstance(kind, str) or kind not in _ENTRY_DATA:
+            raise EngineError(f"unknown theory entry {brief(kind)!r}")
+        fields = list(islice(data, _ENTRY_DATA[kind]))
+        if len(fields) < _ENTRY_DATA[kind] or not isinstance(fields[0], str) or (
+            kind == "spec" and (not isinstance(fields[1], list) or fields[2] != "output")
+        ):
+            raise EngineError(f"malformed theory entry {' '.join(map(brief, [kind, *fields]))!r}")
+        name, body = fields[0], fields[-1]
         if kind == "lemma":
-            name, body = fields
             table, value = theory.lemmas, L.parse_formula(body, theory.signature)
         elif kind == "wfrel":
-            name, body = fields
-            table, value = theory.relations, parse_relspec(read_sexp(body))
+            table, value = theory.relations, parse_relspec(body)
             theory.signature.add_constant(name, "rel")
-        elif kind == "spec":
-            value = _parse_spec(entry.split(None, 1)[1], theory.signature)
-            table, name = theory.specs, value.name
         else:
-            raise EngineError(f"unknown theory entry {kind!r}")
+            table, value = theory.specs, _parse_spec(*fields, theory.signature)
         if name in table:
             raise EngineError(f"{kind} {name!r} is declared twice")
         table[name] = value
     return theory
 
 
+_ENTRY_DATA = {"lemma": 2, "wfrel": 2, "spec": 5}  # keyword -> the data after it
+
 # a comment starts at a '#' that begins the line or follows whitespace, so
 # fresh metavariable names such as X#3 are kept
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-def _entries(text: str):
-    """Yield declarations, comments stripped, each ending where its parens balance."""
-    pending = ""
-    for line in text.splitlines():
-        line = _COMMENT.sub("", line).rstrip()
-        if not line.strip():
-            continue
-        pending = f"{pending} {line}".strip() if pending else line.strip()
-        # `lemma name` alone waits for its body; `wfrel r size-lt` needs no "("
-        if pending.count("(") == pending.count(")") and (
-            "(" in pending or len(pending.split(None, 2)) == 3
-        ):
-            yield pending
-            pending = ""
-    if pending:
-        raise EngineError(f"unterminated declaration: {pending!r}")
-
-
-def _parse_spec(rest: str, sig: L.Signature) -> ProgramSpec:
-    m = re.match(r"(\S+)\s*\((.*?)\)\s*output\s+(\S+)\s+(.*)$", rest, re.S)
-    if not m:
-        raise EngineError(f"malformed spec declaration: {rest!r}")
-    name, params_text, out_text, cond_text = m.groups()
-    params = []
-    for chunk in params_text.split():
-        pname, _, psort = chunk.partition(":")
-        if psort not in L.SORTS:
-            raise EngineError(f"parameter {chunk!r} needs a sort annotation")
-        if any(pname == known for known, _ in params):
-            raise EngineError(f"parameter {pname!r} is declared twice")
-        params.append((pname, psort))
-        sig.add_constant(pname, psort)
+def _parse_spec(name: str, params: list, _keyword, out, condition, sig) -> ProgramSpec:
+    """A spec from the data after its keyword; OUT is NAME:SORT or none."""
+    params = L.read_params(params, sig)
     output = None
-    if out_text != "none":
-        oname, _, osort = out_text.partition(":")
-        if osort not in L.SORTS:
-            raise EngineError(f"output {out_text!r} needs a sort annotation")
-        output = L.MetaVar(oname, osort)
-        sig.add_function(name, tuple(s for _, s in params), osort)
-    condition = L.parse_formula(cond_text, sig)
+    if out != "none":
+        output = L.MetaVar(*L.sorted_name(out, "output"))
+        sig.add_function(name, tuple(s for _, s in params), output.sort)
+    condition = L.parse_formula(condition, sig)
     if output is not None:  # the condition may not read the output at another sort
         for mv in L.nodes(condition):
             if type(mv) is L.MetaVar and mv.name == output.name and mv != output:
-                raise EngineError(f"output {out_text} is read as {mv.sort} in the condition")
-    return ProgramSpec(name, tuple(params), output, condition)
+                raise EngineError(f"output {out} is read as {mv.sort} in the condition")
+    return ProgramSpec(name, params, output, condition)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +201,19 @@ def _parse_step(text: str, sig: L.Signature) -> tuple:
     """A script line other than extract as a step; formulas are read in sig."""
     command = text.split()[0]
     rest = text[len(command) :]
-    if command == "assume":
-        formula_text, *output = re.split(r"\boutput\b", rest, maxsplit=1)
-        output_text = "".join(output).strip()
-        output_term = L.parse_term(output_text, sig) if output_text else None
-        return ("assume", L.parse_formula(formula_text, sig), output_term)
-    if command not in STEPS:
+    if command == "assume":  # the rest as data, FORMULA [output TERM]; a path is no datum
+        data = read_sexp(rest, many=True)
+        if len(data) == 1 or len(data) == 3 and data[1] == "output":
+            output = L.parse_term(data[2], sig) if len(data) == 3 else None
+            return ("assume", L.parse_formula(data[0], sig), output)
+    elif command not in STEPS:
         raise EngineError(f"unknown command {command!r}")
-    kinds, args = STEPS[command][1], rest.split()
-    try:
-        if len(args) != len(kinds):
-            raise ValueError
-        return (command, *[kind(arg) for kind, arg in zip(kinds, args)])
-    except ValueError:
-        raise EngineError(f"malformed command {text!r}") from None
+    elif len(args := rest.split()) == len(kinds := STEPS[command][1]):
+        try:
+            return (command, *[kind(arg) for kind, arg in zip(kinds, args)])
+        except ValueError:
+            pass
+    raise EngineError(f"malformed command {text!r}")
 
 
 def verify_replay(theory: Theory, spec_name: str, tableau: Tableau) -> bool:

@@ -13,7 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import subst as _subst
 from . import term as _term
@@ -38,6 +38,26 @@ class BadPathError(LogicError):
 
 
 SORTS = ("expr", "subst", "varset", "nat", "triple", "rel")
+
+
+def read_params(tokens: list, sig: Signature, defaults: Sequence[str] = ()) -> tuple:
+    """Each parameter's (name, sort), declared in sig; a bare name takes its default."""
+    params: list[tuple[str, str]] = []
+    for tok, default in zip(tokens, defaults or repeat(None)):
+        name, sort = sorted_name(tok, "parameter", default)
+        if any(name == known for known, _ in params):
+            raise SortError(f"parameter {name!r} is declared twice")
+        params.append((name, sort))
+        sig.add_constant(name, sort)
+    return tuple(params)
+
+
+def sorted_name(tok: _term.Sexp, what: str, default: str | None = None) -> tuple[str, str]:
+    """A `name:sort` token as (name, sort), or a bare name as (name, default)."""
+    name, colon, sort = tok.partition(":") if isinstance(tok, str) else ("", ":", "")
+    if name and (sort in SORTS or not colon and default):
+        return name, sort or default
+    raise SortError(f"{what} {_term.brief(tok)!r} is not name:sort of a known sort")
 
 
 @dataclass(frozen=True)
@@ -138,8 +158,6 @@ class Signature:
         known = self.functions.get(name)
         if known is not None and known != (args, result):
             raise SortError(f"conflicting declarations for function {name}")
-        if result not in SORTS or any(a not in SORTS for a in args):
-            raise SortError(f"unknown sort in declaration of {name}")
         self.functions[name] = (args, result)
 
     def add_predicate(self, name: str, args: tuple[str, ...]) -> None:
@@ -430,19 +448,18 @@ _HEADS.update({type(c): name for name, c in _CONSTANTS.items()})
 _KINDS = {"f": "formula", "t": "term"}
 
 
-def parse_formula(text: str, sig: Signature | None = None) -> Formula:
-    sig = sig or default_signature()
-    return _resolve_sorts(_build(_term.read_sexp(text), "f", sig), sig)
+def parse_formula(text: _term.Sexp, sig: Signature | None = None) -> Formula:
+    """The formula a text, or a datum of read_sexp, denotes; a token reads the same."""
+    return _parse(text, "f", sig or default_signature())
 
 
-def parse_term(text: str, sig: Signature | None = None) -> LTerm:
-    return build_term(_term.read_sexp(text), sig)
+def parse_term(text: _term.Sexp, sig: Signature | None = None) -> LTerm:
+    return _parse(text, "t", sig or default_signature())
 
 
-def build_term(datum: _term.Sexp, sig: Signature | None = None) -> LTerm:
-    """The term a datum of read_sexp denotes, with metavar sorts inferred."""
-    sig = sig or default_signature()
-    return _resolve_sorts(_build(datum, "t", sig), sig)
+def _parse(text: _term.Sexp, kind: str, sig: Signature) -> Node:
+    datum = _term.read_sexp(text) if isinstance(text, str) else text
+    return _resolve_sorts(_build(datum, kind, sig), sig)
 
 
 def _build(datum: _term.Sexp, kind: str, sig: Signature) -> Node:
@@ -476,11 +493,8 @@ def _build_token(tok: str, kind: str, sig: Signature) -> Node:
         if tok in _CONSTANTS:
             return _CONSTANTS[tok]
         raise FormulaSyntaxError(f"unexpected token {tok!r} in formula")
-    name, _, sort = tok.partition(":")
-    if _METAVAR.fullmatch(name):
-        if sort and sort not in SORTS:
-            raise SortError(f"unknown sort annotation {sort!r}")
-        return MetaVar(name, sort or "?")
+    if _METAVAR.fullmatch(tok.partition(":")[0]):
+        return MetaVar(*sorted_name(tok, "metavar", "?"))
     if tok in sig.functions and not sig.functions[tok][0]:
         return Apply(tok, ())
     raise FormulaSyntaxError(f"unknown symbol {tok!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,7 +102,10 @@ class FuelExhaustedError(RecursionError):
 
 
 Value = object  # Expr | Subst | frozenset[str] | int | bool | tuple
-_SUBSTS, _EXPRS = (S.Proper, S.Failure), (T.Const, T.Var, T.Cons)
+# sort -> the types of its argument values; a parameter of another sort takes
+# none, as the CLI builds only substitutions and expressions
+_VALUES = {"subst": (S.Proper, S.Failure), "expr": (T.Const, T.Var, T.Cons)}
+_SORT = operator.itemgetter(1)
 
 
 def interpret(
@@ -123,11 +127,13 @@ def interpret(
     if len(args) != len(p.params):
         raise ProgramError(f"{p.name} expects {len(p.params)} arguments")
     for value, (name, sort) in zip(args, p.params):
-        if not isinstance(value, _SUBSTS if sort == "subst" else _EXPRS):
+        if sort not in _VALUES:
+            raise ProgramError(f"parameter {name} is of sort {sort}, which takes no value")
+        if not isinstance(value, _VALUES[sort]):
             raise ProgramError(f"argument {name} is not of sort {sort}")
     measure = less = None
     if check_decrease and p.decrease is not None:
-        if len(args) != 3:
+        if tuple(map(_SORT, p.params)) != ("subst", "expr", "expr"):
             raise ProgramError("decrease checking expects (env, e1, e2) arguments")
         measure, less = wf.order(p.decrease)
     if measure is None and calls is None:
@@ -364,28 +370,18 @@ def parse_program(text: str) -> ProgramDef:
         datum = T.read_sexp(text)
     except T.ExprSyntaxError as exc:
         raise ProgramError(f"program text: {exc}") from exc
-    if not (
-        isinstance(datum, list)
-        and len(datum) == 3
-        and datum[0] == "define"
-        and isinstance(datum[1], list)
-        and len(datum[1]) > 1
-        and all(isinstance(x, str) for x in datum[1])
-    ):
+    head = datum[1] if type(datum) is list and len(datum) == 3 and datum[0] == "define" else None
+    if not (isinstance(head, list) and len(head) > 1 and isinstance(head[0], str)):
         raise ProgramError("expected (define (name params...) body)")
-    name, *chunks = datum[1]
-    sig, params = L.default_signature(), []
-    for chunk, default in zip(chunks, _default_sorts(len(chunks))):
-        pname, colon, sort = chunk.partition(":")
-        if not pname or colon and sort not in L.SORTS:
-            raise ProgramError(f"parameter {chunk!r} is not name or name:sort of a known sort")
-        if any(pname == known for known, _ in params):
-            raise ProgramError(f"parameter {pname} is declared twice")
-        params.append((pname, sort or default))
-        sig.add_constant(pname, sort or default)
+    name, *chunks = head
+    sig = L.default_signature()
+    try:
+        params = L.read_params(chunks, sig, _default_sorts(len(chunks)))
+    except L.SortError as exc:
+        raise ProgramError(str(exc)) from exc
     sorts = tuple(sort for _, sort in params)
     sig.add_function(name, sorts, sorts[0])
-    body = L.build_term(datum[2], sig)
+    body = L.parse_term(datum[2], sig)
     bad = nonprimitive_symbol(body, name, {pname for pname, _ in params})
     if bad is not None:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")

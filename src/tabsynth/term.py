@@ -207,8 +207,9 @@ _TOKEN = re.compile(r"(?:[^\s().,*-]+|-(?!>))+|->|[().,*]")
 Sexp = Union[str, list]
 
 
-def read_sexp(text: str) -> Sexp:
+def read_sexp(text: str, many: bool = False) -> Sexp:
     """The single datum in text: a token, or a list of data per parenthesis.
+    With many set, the list of every datum in text, in order, none or more.
 
     A list that holds a '.' must be a dotted pair, exactly (x . y).
     Nesting is kept on an explicit stack, so deep input does not recurse.
@@ -217,7 +218,7 @@ def read_sexp(text: str) -> Sexp:
     stack: list[list] = [[]]
     opened: list[int] = []  # the token index of each '(' still open
     for k, tok in enumerate(tokens):
-        if not opened and stack[0] and tok != ")":
+        if not (opened or many) and stack[0] and tok != ")":
             _fail("more than one datum", text, k)
         if tok == "(":
             stack.append([])
@@ -234,9 +235,16 @@ def read_sexp(text: str) -> Sexp:
             stack[-1].append(done)
     if opened:
         _fail("unclosed '('", text, opened[-1])
-    if not stack[0]:
+    if not (stack[0] or many):
         _fail("empty input", text, 0)
-    return stack[0][0]
+    return stack[0] if many else stack[0][0]
+
+
+def brief(datum: Sexp) -> str:
+    """datum's text, each list inside it written (...): bounded however deep datum is."""
+    if isinstance(datum, str):
+        return datum
+    return "(" + " ".join(x if isinstance(x, str) else "(...)" for x in datum) + ")"
 
 
 def _fail(message: str, text: str, k: int) -> NoReturn:

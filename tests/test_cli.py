@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabsynth import cli
+from tabsynth import logic as L
 from tabsynth.cli import main
 from tabsynth.subst import parse_subst, print_subst
 from tabsynth.term import print_expr
@@ -130,8 +131,16 @@ def test_a_failed_script_step_exits_3_with_one_error_line(
         (None, ["a", "b", "c"], "argument th0 is not of sort subst"),
         ("(define (f a) (left a))", ["(a . b)", "--check-decrease"],
          "decrease checking expects (env, e1, e2) arguments"),
+        # three arguments of other sorts than (subst, expr, expr) were measured
+        # as such, and the measure raised an AttributeError: exit 3
+        ("(define (f p0:expr p1:expr p2) p2)", ["(a . X)", "a", "a", "--check-decrease"],
+         "decrease checking expects (env, e1, e2) arguments"),
+        ("(define (f p0 p1:subst p2:subst) p1)", ["{}", "{}", "bot", "--check-decrease"],
+         "decrease checking expects (env, e1, e2) arguments"),
+        # a parameter of a sort other than subst was taken as an expr: exit 0
+        ("(define (f a:varset) a)", ["X"], "parameter a is of sort varset, which takes no value"),
     ],
-    ids=["sort", "check-decrease"],
+    ids=["sort", "check-decrease", "check-decrease-exprs", "check-decrease-substs", "varset"],
 )
 def test_run_refuses_arguments_it_cannot_take(capsys, tmp_path, text, args, message):
     prog_file = "builtin:unify_program.golden"
@@ -192,7 +201,7 @@ def test_run_names_a_repeated_parameter(capsys, tmp_path, text, args, twice):
     prog_file = tmp_path / "prog.sexp"
     prog_file.write_text(text + "\n")
     assert main(["run", str(prog_file), *args]) == 2
-    assert capsys.readouterr().err == f"error: parameter {twice} is declared twice\n"
+    assert capsys.readouterr().err == f"error: parameter '{twice}' is declared twice\n"
 
 
 def test_run_reports_fuel_exhaustion(capsys, tmp_path):
@@ -254,9 +263,10 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
 @pytest.mark.parametrize(
     "theory, extra, message",
     [
-        ("spec f (a:expr) (= a a)\n", [], "malformed spec declaration"),
-        ("spec f (a) output Z:expr (= Z a)\n", [], "parameter 'a' needs a sort"),
-        ("spec f (a:expr) output Z (= Z a)\n", [], "output 'Z' needs a sort"),
+        ("spec f (a:expr) (= a a)\n", [], "malformed theory entry"),
+        ("spec f (a) output Z:expr (= Z a)\n", [],
+         "parameter 'a' is not name:sort of a known sort"),
+        ("spec f (a:expr) output Z (= Z a)\n", [], "output 'Z' is not name:sort of a known sort"),
         (_SPEC_F, ["--spec", "g"], "unknown spec 'g'"),
         ("spec f (a:expr a:expr) output Z:expr (= Z a)\n", [], "parameter 'a' is declared twice"),
         (_SPEC_F + _SPEC_F.replace("f", "g"), [], "--spec needed: theory declares"),
@@ -272,7 +282,8 @@ _SPEC_F = "spec f (a:expr) output Z:expr (= Z a)\n"
         (_SPEC_F + "lemma l foo\n", [], "unexpected token 'foo' in formula"),
         (_SPEC_F + "lemma l (is-var x)\n", [], "unknown symbol 'x'"),
         (_SPEC_F + "lemma l (frob X:expr)\n", [], "unknown formula symbol 'frob'"),
-        (_SPEC_F + "lemma l (is-var X:foo)\n", [], "unknown sort annotation 'foo'"),
+        (_SPEC_F + "lemma l (is-var X:foo)\n", [],
+         "metavar 'X:foo' is not name:sort of a known sort"),
         (_SPEC_F + "lemma l (and (idem X:subst) (is-var X))\n", [],
          "metavar X used at sorts subst and expr"),
         (_SPEC_F + "lemma l (is-var (vars X:expr))\n", [], "expected sort expr, got varset"),
@@ -531,6 +542,81 @@ def test_mutated_bundle_exits_cleanly(tmp_path_factory, texts):
         if code == 2:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+# argument texts of each sort the CLI builds
+_ARGUMENTS = {
+    "subst": ["{}", "bot", "{X -> a}", "{Y -> (a . X)}"],
+    "expr": ["a", "X", "(a . X)", "((X . b) . Y)"],
+}
+
+
+def _applications(rng, result):
+    """The primitives of this result sort (None: a predicate), mostly those
+    a program body may use."""
+    allowed = rng.random() < 0.8
+    return [
+        (name, prim.args) for name, prim in L.PRIMITIVES.items()
+        if prim.result == result and (prim.in_program or not allowed)
+    ]
+
+
+def _random_term(rng, sort, params, depth):
+    """A term of sort over params: a parameter or a nullary primitive, an
+    application, an if, or a call of f, whose result sort is its first
+    parameter's; a sort with no leaf gets a parameter of another sort."""
+    prims = _applications(rng, sort)
+    leaves = [n for n, s in params if s == sort] + [n for n, args in prims if not args]
+    apps = [(n, args) for n, args in prims if args]
+    kinds = ["leaf", "if", *["call"] * (sort == params[0][1]), *["apply"] * bool(apps)]
+    kind = "leaf" if depth == 0 else rng.choice(kinds)
+    if kind == "leaf":
+        return rng.choice(leaves or [n for n, _ in params])
+    if kind == "if":
+        then, els = (_random_term(rng, sort, params, depth - 1) for _ in "te")
+        return f"(if {_random_formula(rng, params, depth - 1)} {then} {els})"
+    fn, sorts = ("f", [s for _, s in params]) if kind == "call" else rng.choice(apps)
+    return f"({fn} {' '.join(_random_term(rng, s, params, depth - 1) for s in sorts)})"
+
+
+def _random_formula(rng, params, depth):
+    if rng.random() < 0.25:
+        sort = rng.choice(sorted(_ARGUMENTS))
+        sides = (_random_term(rng, sort, params, depth) for _ in "lr")
+        return f"(= {' '.join(sides)})"
+    pred, sorts = rng.choice(_applications(rng, None))
+    return f"({pred} {' '.join(_random_term(rng, s, params, depth) for s in sorts)})"
+
+
+@st.composite
+def _random_programs(draw):
+    """A program file of one to three parameters, some annotated, with a body
+    of primitives, if, = and self-calls, and argument texts for it."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.choice([1, 2, 3, 3])  # three take the decrease check
+    params, chunks = [], []
+    for i, default in enumerate(["subst", "expr", "expr"] if n == 3 else ["expr"] * n):
+        sort = rng.choice(L.SORTS + ("subst", "expr") * 3) if rng.random() < 0.4 else None
+        params.append((f"p{i}", sort or default))
+        chunks.append(f"p{i}:{sort}" if sort else f"p{i}")
+    body = _random_term(rng, params[0][1], params, 3)
+    every = sum(_ARGUMENTS.values(), [])  # a parameter of another sort takes any
+    args = [rng.choice(every if rng.random() < 0.1 else _ARGUMENTS.get(s, every)) for _, s in params]
+    return f"(define (f {' '.join(chunks)})\n  {body})\n", args
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(program=_random_programs())
+def test_a_random_program_file_runs_or_exits_with_one_error_line(tmp_path_factory, program):
+    text, args = program
+    path = tmp_path_factory.mktemp("program") / "f.prog"
+    path.write_text(text)
+    for flags in ((), ("--check-decrease",)):
+        argv = ["run", str(path), *args, "--fuel", "50", *flags]
+        code, err = _run_quietly(argv)
+        assert "internal error:" not in err and len(err.splitlines()) <= 1, (text, argv, err)
+        failed = re.search("fuel exhausted|recursion limit|does not decrease", err)
+        assert code in (0, 1, 2) or code == 3 and failed, (text, argv, code, err)
 
 
 _DEEP_Z = "(" * 10_000 + "Z" + " . c)" * 10_000

@@ -7,6 +7,7 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tabsynth import engine
 from tabsynth import logic as L
@@ -278,8 +279,75 @@ def test_a_bare_wfrel_base_ends_at_its_line():
     for text in (
         "wfrel r size-lt\nlemma a (= X:expr X)\n" + spec,  # not joined to the lemma
         spec + "wfrel r size-lt\n",  # the last line
+        "wfrel r size-lt lemma a (= X:expr X)\n" + spec,  # one line
+        "wfrel r\n  size-lt\n" + spec,
     ):
         assert engine.load_theory(text).relations["r"] == Base("size-lt")
+
+
+def _loaded(theory: engine.Theory) -> tuple:
+    """What a theory file declares: lemmas, relations, specs and the signature tables."""
+    sig = theory.signature
+    return theory.lemmas, theory.relations, theory.specs, sig.functions, sig.predicates
+
+
+_ONE_PER_LINE = (
+    "wfrel r (size-lt)\n"
+    "spec f (a:expr) output Z:expr (= Z a)\n"
+    "lemma l1 (= X:expr X)\n"
+    "lemma l2 (= X:subst X)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # each failed to load: a spec cut by its parens or its regex, or one
+        # line holding more than one datum
+        ("(a:expr) output", "(a:expr)\n  output"),
+        ("Z:expr (= Z a)", "Z:expr\n  (= Z a)"),
+        ("X)\nlemma", "X) lemma"),
+        ("\n", " "),
+    ],
+    ids=["spec-before-output", "spec-before-condition", "two-lemmas", "one-line"],
+)
+def test_an_entry_is_its_data_wherever_its_lines_break(old, new):
+    text = _ONE_PER_LINE.replace(old, new)
+    assert text != _ONE_PER_LINE
+    assert _loaded(engine.load_theory(text)) == _loaded(engine.load_theory(_ONE_PER_LINE))
+
+
+def _without_comments(text: str) -> str:
+    return "\n".join(engine._COMMENT.sub("", line) for line in text.splitlines())
+
+
+_BUNDLED = {name: (DATA / name).read_text() for name in ("unify.thy", "unify_same.thy")}
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(_BUNDLED)), rng=st.randoms(use_true_random=False))
+def test_a_theory_file_rebroken_at_random_whitespace_loads_the_same(name, rng):
+    # a break may join two entries on one line, or part an entry anywhere
+    words = _without_comments(_BUNDLED[name]).split()
+    text = words[0] + "".join(rng.choice([" ", "\n", "\n    ", "\n\n"]) + w for w in words[1:])
+    assert _loaded(engine.load_theory(text)) == _loaded(engine.load_theory(_BUNDLED[name]))
+
+
+def test_a_theory_read_error_names_its_position_in_the_file():
+    text = "# a comment\nlemma l (and (idem TH:subst)\n"
+    with pytest.raises(engine.EngineError, match=r"theory text: unclosed '\(' \(at position 20\)"):
+        engine.load_theory(text)
+    assert text[20] == "("
+
+
+def test_an_assume_line_is_read_as_data():
+    # the formula was cut at the first word output, here inside output-x
+    theory = engine.load_theory("spec output-x (a:expr) output Z:expr (= Z a)\n")
+    sig = engine.make_tableau(theory, "output-x").sig
+    formula = L.parse_formula("(= (output-x a) a)", sig)
+    assert engine._parse_step("assume (= (output-x a) a)", sig) == ("assume", formula, None)
+    step = engine._parse_step("assume (= (output-x a) a) output (output-x a)", sig)
+    assert step == ("assume", formula, L.parse_term("(output-x a)", sig))
 
 
 def test_malformed_script_command_is_named(unify_theory):
@@ -293,6 +361,10 @@ def test_malformed_script_command_is_named(unify_theory):
         "orphan 1 2",
         "assert",
         "induct",
+        "assume",  # no formula
+        "assume (is-atom e1) e1",  # no output keyword
+        "assume (is-atom e1) output",  # no output
+        "assume (is-atom e1) output e1 e2",
     )
     for command in commands:
         with pytest.raises(engine.StepFailedError, match="malformed command") as err:

@@ -387,7 +387,7 @@ def test_emit_writes_each_sort_the_parameter_count_does_not_give(sorts, header):
 
 @pytest.mark.parametrize("chunk", ["a:foo", "a:", ":expr", "a:expr:expr"])
 def test_a_parameter_of_no_known_sort_is_refused(chunk):
-    with pytest.raises(ProgramError, match="is not name or name:sort"):
+    with pytest.raises(ProgramError, match="is not name:sort of a known sort"):
         parse_program(f"(define (f {chunk}) a)")
 
 
@@ -412,8 +412,9 @@ def test_every_prefix_parses_or_fails_cleanly():
 
     sweep(parse_program, GOLDEN.read_text())
     theory_text = GOLDEN.with_name("unify.thy").read_text()
-    sig = engine.load_theory(theory_text).signature
-    bodies = [e.split(None, 2)[2] for e in engine._entries(theory_text) if e.startswith("lemma")]
+    theory = engine.load_theory(theory_text)
+    sig = theory.signature
+    bodies = [L.print_formula(f, True) for f in theory.lemmas.values()]
     assert len(bodies) > 40
     for body in bodies:
         sweep(lambda text: L.parse_formula(text, sig), body)
