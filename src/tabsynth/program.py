@@ -2,12 +2,12 @@
 
 A `ProgramDef` is what a tableau's final row yields once
 `nonprimitive_symbol` finds only primitives in its body.  `compile` turns
-a program into Python source: the lazy conditional becomes a conditional
-expression, primitives are called strictly from `logic.PRIMITIVES`, and a
-self-call is a plain recursive call.  `run` executes it; `interpret`
-first checks the sorts of runtime values.  Self-calls consume fuel, and
-can be checked for strict decrease under the relation the program
-records.
+a program into one Python function: the lazy conditional becomes a
+conditional expression, primitives are called strictly from
+`logic.PRIMITIVES`, and a self-call is a plain recursive call.  `run`
+calls it unchecked; `interpret` first checks the sorts of runtime values,
+and can list the self-calls or check that each strictly decreases under
+the relation the program records.  Self-calls consume fuel either way.
 """
 
 from __future__ import annotations
@@ -32,10 +32,15 @@ class ProgramDef:
     params: tuple[tuple[str, str], ...]
     body: LTerm
     decrease: wf.RelSpec | None = None  # the relation self-calls decrease under
+    result: str = ""  # the result sort; by default the first parameter's
+
+    def __post_init__(self):
+        if not self.result and self.params:
+            object.__setattr__(self, "result", self.params[0][1])
 
     @functools.cached_property
-    def compiled(self):
-        """This program's (unchecked, checked) Python functions; see compile."""
+    def compiled(self) -> Callable:
+        """This program's Python function; see compile."""
         return compile(self)
 
 
@@ -136,20 +141,20 @@ def interpret(
         if tuple(map(_SORT, p.params)) != ("subst", "expr", "expr"):
             raise ProgramError("decrease checking expects (env, e1, e2) arguments")
         measure, less = wf.order(p.decrease)
-    if measure is None and calls is None:
-        return run(p, args, fuel)
     if fuel < 0:
         raise ProgramError(f"fuel must be at least 0, not {fuel}")
     fuel_left = itertools.repeat(None, min(fuel, _FUEL_CAP) + 1)
-    return _run(p.name, p.compiled[1], fuel_left, measure, less, calls, None, None, *args)
+    return _run(p.name, p.compiled, fuel_left, measure, less, calls, None, None, *args)
 
 
 def run(p: ProgramDef, args: Sequence[Value], fuel: int = 10000) -> Value:
-    """Run p, unchecked, on arguments of its sorts; fails as `interpret` does."""
+    """Run p on arguments of its sorts, unchecked, unmeasured and unlisted;
+    fails as `interpret` does."""
     if fuel < 0:
         raise ProgramError(f"fuel must be at least 0, not {fuel}")
     # one fuel item per call, the top call's included: it is not a self-call
-    return _run(p.name, p.compiled[0], itertools.repeat(None, min(fuel, _FUEL_CAP) + 1), *args)
+    fuel_left = itertools.repeat(None, min(fuel, _FUEL_CAP) + 1)
+    return _run(p.name, p.compiled, fuel_left, None, None, None, None, None, *args)
 
 
 # the largest fuel an iterator can count; Python's recursion limit stops any
@@ -193,27 +198,24 @@ def eval_formula(
 # compilation
 
 
-def compile(p: ProgramDef) -> tuple[Callable, Callable]:
-    """Compile p to its unchecked and checked Python functions.
+def compile(p: ProgramDef) -> Callable:
+    """Compile p to one Python function,
+    `_program(fuel, measure, less, calls, measured, parent, *args)`.
 
-    `unchecked(fuel, *args)` takes one item of the iterator fuel on entry
-    to each call.  `checked(fuel, measure, less, calls, measured, parent,
-    *args)` also gets its parent's measure and argument tuple (None at the
-    top); on entry it packs its arguments as one tuple, whatever their
-    number, measures it once, lists the call, raises
-    DecreaseViolationError unless below its parent, and takes its fuel.
+    Each call gets its parent's measure and argument tuple (None at the
+    top).  On entry it packs its arguments as one tuple, whatever their
+    number; given a measure, it measures that tuple once and raises
+    DecreaseViolationError unless it is below its parent; given a calls
+    list, it lists itself there; then it takes one item of the iterator
+    fuel.  `run` passes None for measure, less and calls.
     """
     gen = _Source([name for name, _ in p.params], p.name)
-    body = gen.term(p.body)  # no name holds "(", so "_self(" opens only self-calls
-    unchecked = gen.function("_body", "_fuel", "_next(_fuel)", body.replace("_self(", "_body(_fuel, "))
-    entry = _CHECKED_ENTRY.format("".join(f"{v}, " for v in gen.variables.values()))
-    accounts = "_fuel, _measure, _less, _calls"
-    checked_body = body.replace("_self(", f"_checked({accounts}, _m, _args, ")
-    checked = gen.function("_checked", f"{accounts}, _measured, _parent", entry, checked_body)
-    return unchecked, checked
+    entry = _ENTRY.format("".join(f"{v}, " for v in gen.variables.values()))
+    return gen.function("_program", "_fuel, _measure, _less, _calls, _measured, _parent",
+                        entry, gen.term(p.body))
 
 
-_CHECKED_ENTRY = """_args = ({})
+_ENTRY = """_args = ({})
     _m = None if _measure is None else _measure(_args)
     if _parent is not None:  # a self-call, not the top call
         if _calls is not None:
@@ -227,7 +229,7 @@ _CHECKED_ENTRY = """_args = ({})
 def _compile_formula(f: Formula, names: tuple[str, ...]) -> Callable:
     """Compile f to `f(_rels, *values)` over the named values."""
     gen = _Source(names, None)
-    return gen.function("_body", "_rels", "", gen.formula(f))
+    return gen.function("_formula", "_rels", "", gen.formula(f))
 
 
 _RELATIONS = {"u-rel": wf.U_REL}  # known to every formula unless a theory redefines it
@@ -273,8 +275,8 @@ class _Source:
                 raise ProgramError(f"unbound metavar {t.name}")
             return self.variables[t.name]
         args = [self.term(a) for a in t.args]
-        if t.fn == self.self_name:  # each compiled form puts its own call for _self
-            return f"_self({', '.join(args)})"
+        if t.fn == self.self_name:  # its measure and arguments are the child's parent
+            return f"_program({', '.join(['_fuel, _measure, _less, _calls, _m, _args', *args])})"
         if not args and t.fn in self.variables:
             return self.variables[t.fn]
         prim = L.PRIMITIVES.get(t.fn)
@@ -314,21 +316,22 @@ class _Source:
 # ---------------------------------------------------------------------------
 # simplification
 
-def simplify(body: LTerm) -> LTerm:
+def simplify(body: LTerm, known: dict[Formula, bool] | None = None) -> LTerm:
     """Rewrite conditionals in one bottom-up pass, preserving meaning.
 
-    Under simplified branches, a test repeated immediately inside a branch
-    goes, then equal branches and constant tests collapse: a fixpoint.
+    A test that an enclosing conditional on the same path has decided
+    (`known`: each such test and its value there) takes its branch; then
+    equal branches and constant tests collapse: a fixpoint.
     """
+    known = known or {}
     if isinstance(body, Apply):
-        return Apply(body.fn, tuple(simplify(a) for a in body.args))
+        return Apply(body.fn, tuple(simplify(a, known) for a in body.args))
     if not isinstance(body, Cond):
         return body
-    then, els = simplify(body.then), simplify(body.els)
-    if isinstance(then, Cond) and then.test == body.test:
-        then = then.then
-    if isinstance(els, Cond) and els.test == body.test:
-        els = els.els
+    if body.test in known:
+        return simplify(body.then if known[body.test] else body.els, known)
+    then = simplify(body.then, {**known, body.test: True})
+    els = simplify(body.els, {**known, body.test: False})
     if isinstance(body.test, L.TrueF) or then == els:
         return then
     return els if isinstance(body.test, L.FalseF) else Cond(body.test, then, els)
@@ -338,12 +341,15 @@ def simplify(body: LTerm) -> LTerm:
 # text form
 
 def emit(p: ProgramDef) -> str:
-    """Canonical program text, each metavar with its sort, and each parameter
-    whose sort _default_sorts does not give; parse_program inverts it."""
+    """Canonical program text, each metavar with its sort, each parameter
+    whose sort _default_sorts does not give, and the result sort unless it is
+    the first parameter's; parse_program inverts it."""
     defaults = _default_sorts(len(p.params))
     params = " ".join(n if s == d else f"{n}:{s}" for (n, s), d in zip(p.params, defaults))
+    default = p.params[0][1] if p.params else ""  # ProgramDef's default result sort
+    name = p.name if p.result == default else f"{p.name}:{p.result}"
     body = _pp_term(p.body, indent=2)
-    return f"(define ({p.name} {params})\n{body})\n"
+    return f"(define ({name} {params})\n{body})\n"
 
 
 def _pp_term(t: LTerm, indent: int) -> str:
@@ -364,8 +370,10 @@ def _default_sorts(n: int) -> list[str]:
 
 
 def parse_program(text: str) -> ProgramDef:
-    """Parse `(define (name params...) body)`; a param is `name` or `name:sort`,
-    and one without a sort gets its _default_sorts sort."""
+    """Parse `(define (name params...) body)`.  A param is `name` or
+    `name:sort`, and one without a sort gets its _default_sorts sort; the
+    program's name may be written `name:sort` too, and its result sort is by
+    default the first parameter's."""
     try:
         datum = T.read_sexp(text)
     except T.ExprSyntaxError as exc:
@@ -373,16 +381,17 @@ def parse_program(text: str) -> ProgramDef:
     head = datum[1] if type(datum) is list and len(datum) == 3 and datum[0] == "define" else None
     if not (isinstance(head, list) and len(head) > 1 and isinstance(head[0], str)):
         raise ProgramError("expected (define (name params...) body)")
-    name, *chunks = head
     sig = L.default_signature()
     try:
-        params = L.read_params(chunks, sig, _default_sorts(len(chunks)))
+        params = L.read_params(head[1:], sig, _default_sorts(len(head) - 1))
+        name, result = L.sorted_name(head[0], "program", params[0][1])
     except L.SortError as exc:
         raise ProgramError(str(exc)) from exc
-    sorts = tuple(sort for _, sort in params)
-    sig.add_function(name, sorts, sorts[0])
+    sig.add_function(name, tuple(map(_SORT, params)), result)
     body = L.parse_term(datum[2], sig)
+    if (got := L.sort_of(body, sig)) != result:
+        raise ProgramError(f"program body is of sort {got}, not its result sort {result}")
     bad = nonprimitive_symbol(body, name, {pname for pname, _ in params})
     if bad is not None:
         raise ProgramError(f"nonprimitive symbol {bad} in program body")
-    return ProgramDef(name, tuple(params), body, wf.U_REL)
+    return ProgramDef(name, tuple(params), body, wf.U_REL, result)

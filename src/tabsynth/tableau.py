@@ -419,16 +419,30 @@ class Tableau:
     # -- extraction ------------------------------------------------------
 
     def extract_program(self) -> P.ProgramDef | None:
-        """The program of the first final row with a primitive output, its body
-        simplified (program.simplify)."""
+        """The program of the first final row with a primitive output, each
+        metavariable in it grounded (_ground), its body simplified
+        (program.simplify), its result sort the spec output's."""
         params = {name for name, _ in self.spec.params}
         for row in self.rows:
             if row.is_final() and P.nonprimitive_symbol(
                 row.output, self.spec.name, params, self.primitive_fns, self.primitive_preds
             ) is None:
-                body = P.simplify(row.output)
-                return P.ProgramDef(self.spec.name, self.spec.params, body, self.decrease)
+                body = P.simplify(L.map_node(row.output, self._ground))
+                return P.ProgramDef(
+                    self.spec.name, self.spec.params, body, self.decrease, self.spec.output.sort
+                )
         return None
+
+    def _ground(self, node: L.Node) -> LTerm | None:
+        """A ground term for a metavariable, which the proof holds for every
+        value of: the first parameter of its sort, else the first nullary
+        primitive of that sort; None for any other node, or if neither exists."""
+        if type(node) is not MetaVar:
+            return None
+        names = [name for name, sort in self.spec.params if sort == node.sort]
+        names += [n for n, p in L.PRIMITIVES.items()
+                  if n in self.primitive_fns and p.result == node.sort and not p.args]
+        return Apply(names[0]) if names else None
 
     # -- helpers ---------------------------------------------------------
 

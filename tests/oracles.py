@@ -254,14 +254,27 @@ def _reference_junction(parts, ctor, unit, absorber) -> L.Formula:
 
 
 def reference_simplify(body: L.LTerm) -> L.LTerm:
-    """program.simplify as a fixpoint of one rewriting pass, the pass
-    collapsing constant tests and equal branches before it removes a
+    """program.simplify as a fixpoint of two rewriting passes: one takes
+    the branch of each test an enclosing test on its path decided, the
+    other collapses constant tests and equal branches before it removes a
     repeated test."""
     while True:
-        new = _reference_simplify_once(body)
+        new = _reference_simplify_once(_decide(body, {}))
         if new == body:
             return new
         body = new
+
+
+def _decide(t: L.LTerm, decided: dict) -> L.LTerm:
+    # decided: the tests of the conditionals above t, each with its branch's value
+    if isinstance(t, L.Apply):
+        return L.Apply(t.fn, tuple(_decide(a, decided) for a in t.args))
+    if not isinstance(t, L.Cond):
+        return t
+    if t.test in decided:
+        return _decide(t.then if decided[t.test] else t.els, decided)
+    then = _decide(t.then, {**decided, t.test: True})
+    return L.Cond(t.test, then, _decide(t.els, {**decided, t.test: False}))
 
 
 def _reference_simplify_once(t: L.LTerm) -> L.LTerm:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tabsynth import cli
 from tabsynth import logic as L
+from tabsynth import program as P
 from tabsynth.cli import main
 from tabsynth.subst import parse_subst, print_subst
 from tabsynth.term import print_expr
@@ -561,37 +562,40 @@ def _applications(rng, result):
     ]
 
 
-def _random_term(rng, sort, params, depth):
+def _random_term(rng, sort, params, result, depth):
     """A term of sort over params: a parameter or a nullary primitive, an
-    application, an if, or a call of f, whose result sort is its first
-    parameter's; a sort with no leaf gets a parameter of another sort."""
+    application, an if, or a call of f, whose result sort is result; a sort
+    with no leaf gets a parameter of another sort."""
     prims = _applications(rng, sort)
     leaves = [n for n, s in params if s == sort] + [n for n, args in prims if not args]
     apps = [(n, args) for n, args in prims if args]
-    kinds = ["leaf", "if", *["call"] * (sort == params[0][1]), *["apply"] * bool(apps)]
+    kinds = ["leaf", "if", *["call"] * (sort == result), *["apply"] * bool(apps)]
     kind = "leaf" if depth == 0 else rng.choice(kinds)
     if kind == "leaf":
         return rng.choice(leaves or [n for n, _ in params])
     if kind == "if":
-        then, els = (_random_term(rng, sort, params, depth - 1) for _ in "te")
-        return f"(if {_random_formula(rng, params, depth - 1)} {then} {els})"
+        then, els = (_random_term(rng, sort, params, result, depth - 1) for _ in "te")
+        return f"(if {_random_formula(rng, params, result, depth - 1)} {then} {els})"
     fn, sorts = ("f", [s for _, s in params]) if kind == "call" else rng.choice(apps)
-    return f"({fn} {' '.join(_random_term(rng, s, params, depth - 1) for s in sorts)})"
+    args = (_random_term(rng, s, params, result, depth - 1) for s in sorts)
+    return f"({fn} {' '.join(args)})"
 
 
-def _random_formula(rng, params, depth):
+def _random_formula(rng, params, result, depth):
     if rng.random() < 0.25:
         sort = rng.choice(sorted(_ARGUMENTS))
-        sides = (_random_term(rng, sort, params, depth) for _ in "lr")
+        sides = (_random_term(rng, sort, params, result, depth) for _ in "lr")
         return f"(= {' '.join(sides)})"
     pred, sorts = rng.choice(_applications(rng, None))
-    return f"({pred} {' '.join(_random_term(rng, s, params, depth) for s in sorts)})"
+    args = (_random_term(rng, s, params, result, depth) for s in sorts)
+    return f"({pred} {' '.join(args)})"
 
 
 @st.composite
 def _random_programs(draw):
-    """A program file of one to three parameters, some annotated, with a body
-    of primitives, if, = and self-calls, and argument texts for it."""
+    """A program file of one to three parameters, some annotated, and a name
+    sometimes annotated with its result sort, with a body of primitives, if,
+    = and self-calls, and argument texts for it."""
     rng = draw(st.randoms(use_true_random=False))
     n = rng.choice([1, 2, 3, 3])  # three take the decrease check
     params, chunks = [], []
@@ -599,16 +603,25 @@ def _random_programs(draw):
         sort = rng.choice(L.SORTS + ("subst", "expr") * 3) if rng.random() < 0.4 else None
         params.append((f"p{i}", sort or default))
         chunks.append(f"p{i}:{sort}" if sort else f"p{i}")
-    body = _random_term(rng, params[0][1], params, 3)
+    result = rng.choice(L.SORTS + ("subst", "expr") * 3) if rng.random() < 0.3 else None
+    name = f"f:{result}" if result else "f"
+    result = result or params[0][1]
+    body = _random_term(rng, result, params, result, 3)
     every = sum(_ARGUMENTS.values(), [])  # a parameter of another sort takes any
     args = [rng.choice(every if rng.random() < 0.1 else _ARGUMENTS.get(s, every)) for _, s in params]
-    return f"(define (f {' '.join(chunks)})\n  {body})\n", args
+    return f"(define ({name} {' '.join(chunks)})\n  {body})\n", args
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(program=_random_programs())
 def test_a_random_program_file_runs_or_exits_with_one_error_line(tmp_path_factory, program):
     text, args = program
+    try:
+        parsed = P.parse_program(text)
+    except (P.ProgramError, L.LogicError):
+        pass
+    else:  # every text that parses emits one that parses back to it
+        assert P.parse_program(P.emit(parsed)) == parsed, text
     path = tmp_path_factory.mktemp("program") / "f.prog"
     path.write_text(text)
     for flags in ((), ("--check-decrease",)):
@@ -735,6 +748,25 @@ def test_a_searched_program_runs(capsys, tmp_path):
     emitted = tmp_path / "same.prog"
     assert run_cli(capsys, "search", "--emit", str(emitted))[0] == 0
     assert run_cli(capsys, "run", str(emitted), "{}", "X") == (0, "{}\n")
+
+
+@pytest.mark.parametrize(
+    "head, body, code, out, err",
+    [
+        ("f:subst", "(if (is-proper b) b (f a b))", 0, "{}\n", []),
+        # without a sort, f returns its first parameter's, expr
+        ("f", "(if (is-proper b) b (f a b))", 2, "",
+         ["error: expected sort subst, got expr in (f _ _)"]),
+        ("f:subst", "a", 2, "", ["error: program body is of sort expr, not its result sort subst"]),
+    ],
+    ids=["result-sort", "first-parameter-sort", "body-of-another-sort"],
+)
+def test_a_program_file_says_what_it_returns(capsys, tmp_path, head, body, code, out, err):
+    path = tmp_path / "f.prog"
+    path.write_text(f"(define ({head} a b:subst) {body})\n")
+    assert main(["run", str(path), "a", "{}"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == (out, err)
 
 
 @pytest.mark.parametrize(

@@ -145,8 +145,10 @@ def test_one_step_reflexivity_script():
     tableau, prog = engine.replay(
         theory, "pick", "assert eq-refl-expr\nresolve 1 - 2 -\nextract\n"
     )
-    # the output variable is untouched: any primitive term satisfies (= a1 a1)
-    assert isinstance(prog.body, MetaVar)
+    # the output variable is untouched: any primitive term satisfies (= a1 a1),
+    # and extraction puts the parameter of its sort in its place
+    assert isinstance(tableau.rows[-1].output, MetaVar)
+    assert prog.body == L.Apply("a1")
 
 
 def test_search_smoke():
@@ -234,8 +236,6 @@ def test_search_weight_configs_both_satisfy_contract():
 
 
 def test_assume_command_in_script():
-    from tabsynth import logic as L
-
     theory = engine.load_theory(
         """
         spec pick (a1:expr) output TH:expr (is-atom a1)
@@ -245,9 +245,13 @@ def test_assume_command_in_script():
     script = "assume (is-atom a1) output a1\nresolve 1 - 2 -\nextract\n"
     tableau, prog = engine.replay(theory, "pick", script)
     assert tableau.rows[1].step[0] == "assume"
-    assert isinstance(prog.body, L.Cond)
-    assert prog.body.test == L.Atom("is-atom", (L.Apply("a1"),))
-    assert prog.body.els == L.Apply("a1")
+    output = tableau.rows[-1].output
+    assert isinstance(output, L.Cond)
+    assert output.test == L.Atom("is-atom", (L.Apply("a1"),))
+    assert output.els == L.Apply("a1")
+    # the atom case's output is free: extraction grounds it to a1, and the
+    # two equal branches collapse
+    assert isinstance(output.then, MetaVar) and prog.body == L.Apply("a1")
 
 
 def test_replay_trace_lists_every_row(unify_theory, derivation):

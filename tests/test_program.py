@@ -96,8 +96,8 @@ def _triples(seed, count):
 
 
 def test_both_forms_agree_with_the_transcription(prog):
-    # the unchecked form, the checked form with the decrease check, the
-    # checked form listing its calls, and the hand transcription
+    # the one compiled function run unchecked, with the decrease check and
+    # listing its calls, and the hand transcription
     for args in _triples(17, 500):
         want = transcribed_unify(*args)
         assert run(prog, args) == want
@@ -131,7 +131,7 @@ def test_looping_environment_reaches_the_recursion_limit_in_both_forms(prog):
         with pytest.raises(FuelExhaustedError) as err:
             go()
         assert str(err.value) == message
-    # the checked form stops at the first self-call that does not decrease
+    # with the decrease check, it stops at the first self-call that does not decrease
     with pytest.raises(DecreaseViolationError):
         interpret(prog, args, check_decrease=True)
 
@@ -307,6 +307,22 @@ def test_simplify_rules():
     assert simplify(Cond(p, Cond(p, a, b), Cond(p, a, b))) == Cond(p, a, b)
 
 
+def test_simplify_takes_the_branch_a_test_higher_on_the_path_decided():
+    # a search's k = 2 program: the inner (is-var e1) lies in the outer
+    # test's else branch, under another test, so it is false there
+    sig = L.default_signature()
+    for name, sort in (("th0", "subst"), ("e1", "expr"), ("e2", "expr")):
+        sig.add_constant(name, sort)
+    body = L.parse_term(
+        "(if (is-var e1) th0 (if (is-const e2) (if (is-var e1) th0 bot) empty-subst))", sig
+    )
+    want = L.parse_term("(if (is-var e1) th0 (if (is-const e2) bot empty-subst))", sig)
+    assert simplify(body) == want
+    # and inside an application on that path
+    nested = L.parse_term("(if (is-var e1) (compose th0 (if (is-var e1) bot th0)) th0)", sig)
+    assert simplify(nested) == L.parse_term("(if (is-var e1) (compose th0 bot) th0)", sig)
+
+
 def random_conditional(rng, tests, depth=4):
     if depth == 0 or rng.random() < 0.3:
         return Apply(rng.choice(["th0", "bot", "empty-subst"]))
@@ -349,8 +365,8 @@ def test_emit_round_trip(prog):
     assert parse_program(text) == prog
     # emission is stable across repeated runs
     assert emit(parse_program(text)) == text
-    # an extracted body may be a free metavariable, which nothing else in
-    # the text gives a sort: emission writes it
+    # a free output holds for every value of its sort: extraction puts a
+    # parameter of that sort in its place
     from tabsynth import engine
 
     theory = engine.load_theory(
@@ -358,10 +374,35 @@ def test_emit_round_trip(prog):
     )
     _, extracted = engine.search(theory, "f", engine.SearchConfig())
     text = emit(extracted)
-    assert text == "(define (f a)\n  Z:expr)\n"
+    assert text == "(define (f a)\n  a)\n"
+    assert run(parse_program(text), [parse_expr("b")]) == parse_expr("b")
+    # with no ground term of its sort, the body stays a free metavariable,
+    # which nothing else in the text gives a sort: emission writes it
+    theory = engine.load_theory(
+        "lemma refl (= X:expr X)\nspec f (a:subst) output Z:expr (= Z:expr Z)\n"
+    )
+    _, extracted = engine.search(theory, "f", engine.SearchConfig())
+    text = emit(extracted)
+    assert text == "(define (f:expr a:subst)\n  Z:expr)\n"
     assert parse_program(text).body == extracted.body == L.MetaVar("Z", "expr")
     with pytest.raises(ProgramError, match="unbound metavar Z"):
-        run(parse_program(text), [parse_expr("b")])
+        run(parse_program(text), [EMPTY])
+
+
+def test_a_free_output_with_no_parameter_of_its_sort_takes_a_nullary_primitive():
+    # the result sort is the spec output's, subst, which the first
+    # parameter's would not give, so the text writes it with the name
+    from tabsynth import engine
+
+    theory = engine.load_theory(
+        "lemma refl (= X:subst X)\nspec f (a:expr) output Z:subst (= Z:subst Z)\n"
+    )
+    _, extracted = engine.search(theory, "f", engine.SearchConfig())
+    assert extracted.result == "subst"
+    text = emit(extracted)
+    assert text == "(define (f:subst a)\n  empty-subst)\n"
+    assert parse_program(text).result == "subst"
+    assert run(parse_program(text), [parse_expr("b")]) == EMPTY
 
 
 @pytest.mark.parametrize(
